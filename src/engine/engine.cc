@@ -174,22 +174,6 @@ static QueryContextOptions QueryOptionsFrom(const EngineOptions& options) {
   return qc;
 }
 
-void MergeDeprecatedIngestAliases(EngineOptions* opts) {
-  const EngineOptions defaults;
-  if (opts->ingest_shards != defaults.ingest_shards &&
-      opts->ingest.shards == defaults.ingest.shards) {
-    PROMPT_LOG(kWarn) << "EngineOptions::ingest_shards is deprecated; set "
-                         "ingest.shards instead";
-    opts->ingest.shards = opts->ingest_shards;
-  }
-  if (opts->ingest_ring_capacity != defaults.ingest_ring_capacity &&
-      opts->ingest.ring_capacity == defaults.ingest.ring_capacity) {
-    PROMPT_LOG(kWarn) << "EngineOptions::ingest_ring_capacity is deprecated; "
-                         "set ingest.ring_capacity instead";
-    opts->ingest.ring_capacity = opts->ingest_ring_capacity;
-  }
-}
-
 MicroBatchEngine::MicroBatchEngine(EngineOptions options, JobSpec job,
                                    std::unique_ptr<BatchPartitioner> partitioner,
                                    TupleSource* source)
@@ -197,7 +181,6 @@ MicroBatchEngine::MicroBatchEngine(EngineOptions options, JobSpec job,
   PROMPT_CHECK(partitioner != nullptr);
   PROMPT_CHECK(source_ != nullptr);
   PROMPT_CHECK(options_.batch_interval > 0);
-  MergeDeprecatedIngestAliases(&options_);
   if (options_.adapt.enabled) {
     // The controller's calm test reads block-load and split-key signals, so
     // the partition-metrics pass must run regardless of what the caller set.

@@ -1,8 +1,7 @@
 #include "engine/serde.h"
 
-#include <cstring>
-
-#include "common/hash.h"
+#include "common/wire.h"
+#include "store/segment.h"
 
 namespace prompt {
 
@@ -10,166 +9,111 @@ namespace {
 
 constexpr uint32_t kBatchMagic = 0x50524d42;  // "PRMB"
 
-void PutU32(uint32_t v, std::string* out) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-void PutU64(uint64_t v, std::string* out) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-void PutI64(int64_t v, std::string* out) { PutU64(static_cast<uint64_t>(v), out); }
-void PutF64(double v, std::string* out) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  PutU64(bits, out);
-}
+// Fixed encoded sizes: a block header, a tuple (ts, key, value) and a
+// fragment (key, count, split flag).
+constexpr uint64_t kBlockHeaderBytes = 20;
+constexpr uint64_t kTupleBytes = 24;
+constexpr uint64_t kFragmentBytes = 17;
 
-bool GetU32(const std::string& in, size_t* off, uint32_t* v) {
-  if (*off + 4 > in.size()) return false;
-  std::memcpy(v, in.data() + *off, 4);
-  *off += 4;
-  return true;
-}
-bool GetU64(const std::string& in, size_t* off, uint64_t* v) {
-  if (*off + 8 > in.size()) return false;
-  std::memcpy(v, in.data() + *off, 8);
-  *off += 8;
-  return true;
-}
-bool GetI64(const std::string& in, size_t* off, int64_t* v) {
-  return GetU64(in, off, reinterpret_cast<uint64_t*>(v));
-}
-bool GetF64(const std::string& in, size_t* off, double* v) {
-  uint64_t bits;
-  if (!GetU64(in, off, &bits)) return false;
-  std::memcpy(v, &bits, 8);
-  return true;
-}
-
-uint64_t Checksum(const std::string& bytes, size_t from) {
-  // FNV over the payload, mixed; cheap and adequate for corruption checks.
-  uint64_t h = 1469598103934665603ULL;
-  for (size_t i = from; i < bytes.size(); ++i) {
-    h ^= static_cast<unsigned char>(bytes[i]);
-    h *= 1099511628211ULL;
-  }
-  return Mix64(h);
-}
-
-}  // namespace
-
-void EncodeBlock(const DataBlock& block, std::string* out) {
-  PutU32(block.block_id(), out);
-  PutU64(block.size(), out);
-  PutU64(block.cardinality(), out);
+void WriteBlock(const DataBlock& block, wire::Writer* w) {
+  w->U32(block.block_id());
+  w->U64(block.size());
+  w->U64(block.cardinality());
   for (const Tuple& t : block.tuples()) {
-    PutI64(t.ts, out);
-    PutU64(t.key, out);
-    PutF64(t.value, out);
+    w->I64(t.ts);
+    w->U64(t.key);
+    w->F64(t.value);
   }
   for (const KeyFragment& f : block.fragments()) {
-    PutU64(f.key, out);
-    PutU64(f.count, out);
-    out->push_back(f.split ? 1 : 0);
+    w->U64(f.key);
+    w->U64(f.count);
+    w->U8(f.split ? 1 : 0);
   }
 }
 
-Result<DataBlock> DecodeBlock(const std::string& bytes, size_t* offset) {
+Result<DataBlock> ReadBlock(wire::Reader* r) {
   uint32_t block_id = 0;
   uint64_t tuples = 0, fragments = 0;
-  if (!GetU32(bytes, offset, &block_id) || !GetU64(bytes, offset, &tuples) ||
-      !GetU64(bytes, offset, &fragments)) {
+  if (!r->U32(&block_id) || !r->U64(&tuples) || !r->U64(&fragments)) {
     return Status::Invalid("truncated block header");
   }
-  // Sanity bound: each tuple needs 24 bytes, each fragment 17. Compare by
-  // division — a forged count near 2^64 would wrap a multiplied form and
-  // sail straight past the check into a giant reserve().
-  const uint64_t avail = bytes.size() - *offset;
-  if (tuples > avail / 24) {
-    return Status::Invalid("block header inconsistent with payload size");
-  }
-  if (fragments > (avail - tuples * 24) / 17) {
+  // A count promising more items than the remaining bytes could hold is
+  // forged, and must not drive the reserve() calls below.
+  if (!r->Count(tuples, kTupleBytes)) {
     return Status::Invalid("block header inconsistent with payload size");
   }
   DataBlock block(block_id);
   block.mutable_tuples().reserve(tuples);
   for (uint64_t i = 0; i < tuples; ++i) {
     Tuple t;
-    if (!GetI64(bytes, offset, &t.ts) || !GetU64(bytes, offset, &t.key) ||
-        !GetF64(bytes, offset, &t.value)) {
+    if (!r->I64(&t.ts) || !r->U64(&t.key) || !r->F64(&t.value)) {
       return Status::Invalid("truncated tuple payload");
     }
     block.Append(t);
+  }
+  if (!r->Count(fragments, kFragmentBytes)) {
+    return Status::Invalid("block header inconsistent with payload size");
   }
   auto& frags = block.mutable_fragments();
   frags.reserve(fragments);
   for (uint64_t i = 0; i < fragments; ++i) {
     KeyFragment f;
-    if (!GetU64(bytes, offset, &f.key) || !GetU64(bytes, offset, &f.count) ||
-        *offset >= bytes.size()) {
+    uint8_t split = 0;
+    if (!r->U64(&f.key) || !r->U64(&f.count) || !r->U8(&split)) {
       return Status::Invalid("truncated fragment payload");
     }
-    f.split = bytes[(*offset)++] != 0;
+    f.split = split != 0;
     frags.push_back(f);
   }
   return block;
 }
 
+}  // namespace
+
+void EncodeBlock(const DataBlock& block, std::string* out) {
+  wire::Writer w(out);
+  WriteBlock(block, &w);
+}
+
+Result<DataBlock> DecodeBlock(const std::string& bytes, size_t* offset) {
+  wire::Reader r(bytes, *offset);
+  PROMPT_ASSIGN_OR_RETURN(DataBlock block, ReadBlock(&r));
+  *offset = r.offset();
+  return block;
+}
+
 std::string EncodeBatch(const PartitionedBatch& batch) {
   std::string payload;
-  PutU64(batch.batch_id, &payload);
-  PutI64(batch.seal_time, &payload);
-  PutU64(batch.num_tuples, &payload);
-  PutU64(batch.num_keys, &payload);
-  PutI64(batch.partition_cost, &payload);
-  PutU32(static_cast<uint32_t>(batch.blocks.size()), &payload);
-  for (const DataBlock& block : batch.blocks) EncodeBlock(block, &payload);
-
-  std::string out;
-  PutU32(kBatchMagic, &out);
-  PutU64(Checksum(payload, 0), &out);
-  out += payload;
-  return out;
+  wire::Writer w(&payload);
+  w.U64(batch.batch_id);
+  w.I64(batch.seal_time);
+  w.U64(batch.num_tuples);
+  w.U64(batch.num_keys);
+  w.I64(batch.partition_cost);
+  w.U32(static_cast<uint32_t>(batch.blocks.size()));
+  for (const DataBlock& block : batch.blocks) WriteBlock(block, &w);
+  return SealBlob(kBatchMagic, payload);
 }
 
 Result<PartitionedBatch> DecodeBatch(const std::string& bytes) {
-  size_t off = 0;
-  uint32_t magic = 0;
-  uint64_t checksum = 0;
-  if (!GetU32(bytes, &off, &magic) || magic != kBatchMagic) {
-    return Status::Invalid("bad batch magic");
-  }
-  if (!GetU64(bytes, &off, &checksum)) {
-    return Status::Invalid("truncated checksum");
-  }
-  if (Checksum(bytes, off) != checksum) {
-    return Status::Invalid("batch payload checksum mismatch");
-  }
+  PROMPT_RETURN_NOT_OK(CheckBlob(kBatchMagic, bytes, "batch"));
+  wire::Reader r(bytes, kBlobHeaderBytes);
   PartitionedBatch batch;
   uint32_t num_blocks = 0;
-  if (!GetU64(bytes, &off, &batch.batch_id) ||
-      !GetI64(bytes, &off, &batch.seal_time) ||
-      !GetU64(bytes, &off, &batch.num_tuples) ||
-      !GetU64(bytes, &off, &batch.num_keys) ||
-      !GetI64(bytes, &off, &batch.partition_cost) ||
-      !GetU32(bytes, &off, &num_blocks)) {
+  if (!r.U64(&batch.batch_id) || !r.I64(&batch.seal_time) ||
+      !r.U64(&batch.num_tuples) || !r.U64(&batch.num_keys) ||
+      !r.I64(&batch.partition_cost) || !r.U32(&num_blocks)) {
     return Status::Invalid("truncated batch header");
   }
-  // Every block costs at least its 20-byte header; a count promising more
-  // blocks than the remaining bytes could hold is forged (and must not
-  // drive the reserve() below).
-  if (num_blocks > (bytes.size() - off) / 20) {
+  if (!r.Count(num_blocks, kBlockHeaderBytes)) {
     return Status::Invalid("batch header inconsistent with payload size");
   }
   batch.blocks.reserve(num_blocks);
   for (uint32_t b = 0; b < num_blocks; ++b) {
-    PROMPT_ASSIGN_OR_RETURN(DataBlock block, DecodeBlock(bytes, &off));
+    PROMPT_ASSIGN_OR_RETURN(DataBlock block, ReadBlock(&r));
     batch.blocks.push_back(std::move(block));
   }
-  if (off != bytes.size()) {
+  if (!r.done()) {
     return Status::Invalid("trailing bytes after batch payload");
   }
   return batch;

@@ -1,47 +1,16 @@
 #include "engine/window.h"
 
 #include <algorithm>
-#include <cstring>
 
-#include "common/hash.h"
+#include "common/wire.h"
+#include "store/segment.h"
 
 namespace prompt {
 
 namespace {
 
 constexpr uint32_t kWindowMagic = 0x50524d57;  // "PRMW"
-
-void PutU64(uint64_t v, std::string* out) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-void PutF64(double v, std::string* out) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  PutU64(bits, out);
-}
-bool GetU64(const std::string& in, size_t* off, uint64_t* v) {
-  if (*off + 8 > in.size()) return false;
-  std::memcpy(v, in.data() + *off, 8);
-  *off += 8;
-  return true;
-}
-bool GetF64(const std::string& in, size_t* off, double* v) {
-  uint64_t bits;
-  if (!GetU64(in, off, &bits)) return false;
-  std::memcpy(v, &bits, 8);
-  return true;
-}
-
-uint64_t WindowChecksum(const std::string& bytes, size_t from) {
-  uint64_t h = 1469598103934665603ULL;
-  for (size_t i = from; i < bytes.size(); ++i) {
-    h ^= static_cast<unsigned char>(bytes[i]);
-    h *= 1099511628211ULL;
-  }
-  return Mix64(h);
-}
+constexpr uint64_t kEntryBytes = 16;           // key u64 + value f64
 
 }  // namespace
 
@@ -61,38 +30,24 @@ std::vector<KV> WindowState::TopK(size_t k) const {
 
 std::string WindowState::Checkpoint() const {
   std::string payload;
-  PutU64(window_batches_, &payload);
-  PutU64(history_.size(), &payload);
+  wire::Writer w(&payload);
+  w.U64(window_batches_);
+  w.U64(history_.size());
   for (const auto& batch : history_) {
-    PutU64(batch.size(), &payload);
+    w.U64(batch.size());
     for (const KV& kv : batch) {
-      PutU64(kv.key, &payload);
-      PutF64(kv.value, &payload);
+      w.U64(kv.key);
+      w.F64(kv.value);
     }
   }
-  std::string out;
-  uint32_t magic = kWindowMagic;
-  out.append(reinterpret_cast<const char*>(&magic), 4);
-  PutU64(WindowChecksum(payload, 0), &out);
-  out += payload;
-  return out;
+  return SealBlob(kWindowMagic, payload);
 }
 
 Status WindowState::Restore(const std::string& bytes) {
-  size_t off = 0;
-  if (bytes.size() < 12) return Status::Invalid("truncated checkpoint");
-  uint32_t magic;
-  std::memcpy(&magic, bytes.data(), 4);
-  off = 4;
-  if (magic != kWindowMagic) return Status::Invalid("bad checkpoint magic");
-  uint64_t checksum;
-  if (!GetU64(bytes, &off, &checksum) ||
-      checksum != WindowChecksum(bytes, off)) {
-    return Status::Invalid("checkpoint checksum mismatch");
-  }
-  uint64_t window_batches, num_batches;
-  if (!GetU64(bytes, &off, &window_batches) ||
-      !GetU64(bytes, &off, &num_batches)) {
+  PROMPT_RETURN_NOT_OK(CheckBlob(kWindowMagic, bytes, "checkpoint"));
+  wire::Reader r(bytes, kBlobHeaderBytes);
+  uint64_t window_batches = 0, num_batches = 0;
+  if (!r.U64(&window_batches) || !r.U64(&num_batches)) {
     return Status::Invalid("truncated checkpoint header");
   }
   if (window_batches != window_batches_) {
@@ -103,27 +58,23 @@ Status WindowState::Restore(const std::string& bytes) {
   }
   std::deque<std::vector<KV>> history;
   for (uint64_t b = 0; b < num_batches; ++b) {
-    uint64_t n;
-    if (!GetU64(bytes, &off, &n)) {
-      return Status::Invalid("truncated checkpoint batch");
-    }
-    if (n * 16 > bytes.size() - off) {
+    uint64_t n = 0;
+    if (!r.U64(&n)) return Status::Invalid("truncated checkpoint batch");
+    if (!r.Count(n, kEntryBytes)) {
       return Status::Invalid("checkpoint batch size inconsistent");
     }
     std::vector<KV> batch;
     batch.reserve(n);
     for (uint64_t i = 0; i < n; ++i) {
       KV kv;
-      if (!GetU64(bytes, &off, &kv.key) || !GetF64(bytes, &off, &kv.value)) {
+      if (!r.U64(&kv.key) || !r.F64(&kv.value)) {
         return Status::Invalid("truncated checkpoint entry");
       }
       batch.push_back(kv);
     }
     history.push_back(std::move(batch));
   }
-  if (off != bytes.size()) {
-    return Status::Invalid("trailing bytes in checkpoint");
-  }
+  if (!r.done()) return Status::Invalid("trailing bytes in checkpoint");
   // Rebuild the derived result map by replaying the retained outputs.
   history_.clear();
   result_.clear();

@@ -1,174 +1,25 @@
 #include "replay/journal.h"
 
-#include <algorithm>
+#include <bit>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <unordered_set>
 
 #include "common/hash.h"
 #include "common/logging.h"
+#include "common/wire.h"
 #include "fault/fault_injector.h"
 
 namespace prompt {
 
 namespace {
 
-constexpr size_t kPayloadHeaderBytes = 13;  // kind u8 + owner u32 + batch u64
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-void PutI64(std::string* out, int64_t v) { PutU64(out, static_cast<uint64_t>(v)); }
-
-void PutI32(std::string* out, int32_t v) { PutU32(out, static_cast<uint32_t>(v)); }
-
-void PutF64(std::string* out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  PutU64(out, bits);
-}
-
-void PutVarint(std::string* out, uint64_t v) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  out->push_back(static_cast<char>(v));
-}
-
-uint64_t ZigZag(int64_t v) {
-  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
-}
-
-int64_t UnZigZag(uint64_t v) {
-  return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
-}
-
-/// Bounds-checked little-endian reader over one record body.
-class Cursor {
- public:
-  Cursor(const std::string& bytes, size_t offset)
-      : data_(bytes.data()), size_(bytes.size()), pos_(offset) {}
-
-  bool U8(uint8_t* v) {
-    if (pos_ + 1 > size_) return false;
-    *v = static_cast<uint8_t>(data_[pos_++]);
-    return true;
-  }
-  bool U32(uint32_t* v) {
-    if (pos_ + 4 > size_) return false;
-    std::memcpy(v, data_ + pos_, 4);
-    pos_ += 4;
-    return true;
-  }
-  bool U64(uint64_t* v) {
-    if (pos_ + 8 > size_) return false;
-    std::memcpy(v, data_ + pos_, 8);
-    pos_ += 8;
-    return true;
-  }
-  bool I64(int64_t* v) {
-    uint64_t u;
-    if (!U64(&u)) return false;
-    *v = static_cast<int64_t>(u);
-    return true;
-  }
-  bool I32(int32_t* v) {
-    uint32_t u;
-    if (!U32(&u)) return false;
-    *v = static_cast<int32_t>(u);
-    return true;
-  }
-  bool F64(double* v) {
-    uint64_t bits;
-    if (!U64(&bits)) return false;
-    std::memcpy(v, &bits, 8);
-    return true;
-  }
-  bool Varint(uint64_t* v) {
-    uint64_t result = 0;
-    for (uint32_t shift = 0; shift < 64; shift += 7) {
-      if (pos_ >= size_) return false;
-      const uint8_t byte = static_cast<uint8_t>(data_[pos_++]);
-      result |= static_cast<uint64_t>(byte & 0x7f) << shift;
-      if ((byte & 0x80) == 0) {
-        *v = result;
-        return true;
-      }
-    }
-    return false;
-  }
-  std::string Rest() { return std::string(data_ + pos_, size_ - pos_); }
-  size_t remaining() const { return size_ - pos_; }
-
- private:
-  const char* data_;
-  size_t size_;
-  size_t pos_;
-};
-
-std::string MakePayload(JournalRecordKind kind, uint32_t owner,
-                        uint64_t batch_id, const std::string& body) {
-  std::string payload;
-  payload.reserve(kPayloadHeaderBytes + body.size());
-  PutU8(&payload, static_cast<uint8_t>(kind));
-  PutU32(&payload, owner);
-  PutU64(&payload, batch_id);
-  payload.append(body);
-  return payload;
-}
-
-/// Strict `seg-NNNNNN.log` name parse, mirroring the block store's.
-bool ParseSegmentFilename(const std::string& name, uint64_t* id) {
-  constexpr const char* kPrefix = "seg-";
-  constexpr const char* kSuffix = ".log";
-  if (name.size() <= 4 + 4) return false;
-  if (name.compare(0, 4, kPrefix) != 0) return false;
-  if (name.compare(name.size() - 4, 4, kSuffix) != 0) return false;
-  uint64_t value = 0;
-  for (size_t i = 4; i < name.size() - 4; ++i) {
-    const char c = name[i];
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *id = value;
-  return true;
-}
-
-/// Sorted (id, path) of every well-named segment in `dir`.
-std::vector<std::pair<uint64_t, std::string>> ListSegments(
-    const std::string& dir) {
-  std::vector<std::pair<uint64_t, std::string>> segments;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    uint64_t id = 0;
-    if (!entry.is_regular_file()) continue;
-    if (!ParseSegmentFilename(entry.path().filename().string(), &id)) continue;
-    segments.emplace_back(id, entry.path().string());
-  }
-  std::sort(segments.begin(), segments.end());
-  return segments;
-}
-
 std::string EncodeTuples(const std::vector<Tuple>& tuples) {
   std::string body;
   // Worst case ~10B per varint; typical batches encode at 3-5B/tuple, so
   // one generous reservation beats per-append growth on the hot path.
   body.reserve(32 + tuples.size() * 12);
+  wire::Writer w(&body);
   bool all_unit = true;
   for (const Tuple& t : tuples) {
     if (t.value != 1.0) {
@@ -176,72 +27,72 @@ std::string EncodeTuples(const std::vector<Tuple>& tuples) {
       break;
     }
   }
-  PutU8(&body, all_unit ? 1 : 0);
-  PutVarint(&body, tuples.size());
+  w.U8(all_unit ? 1 : 0);
+  w.Varint(tuples.size());
   // Key runs: adjacent same-key tuples collapse to one (key, count) pair.
   uint64_t run_count = 0;
   for (size_t i = 0; i < tuples.size(); ++i) {
     if (i == 0 || tuples[i].key != tuples[i - 1].key) ++run_count;
   }
-  PutVarint(&body, run_count);
+  w.Varint(run_count);
   for (size_t i = 0; i < tuples.size();) {
     size_t j = i + 1;
     while (j < tuples.size() && tuples[j].key == tuples[i].key) ++j;
-    PutVarint(&body, tuples[i].key);
-    PutVarint(&body, j - i);
+    w.Varint(tuples[i].key);
+    w.Varint(j - i);
     i = j;
   }
-  TimeMicros prev = 0;
+  // Deltas wrap in unsigned arithmetic, so no timestamp pair (and, on
+  // decode, no forged delta) can overflow a signed subtraction.
+  uint64_t prev = 0;
   for (const Tuple& t : tuples) {
-    PutVarint(&body, ZigZag(t.ts - prev));
-    prev = t.ts;
+    w.ZigZag(static_cast<int64_t>(static_cast<uint64_t>(t.ts) - prev));
+    prev = static_cast<uint64_t>(t.ts);
   }
   if (!all_unit) {
-    for (const Tuple& t : tuples) PutF64(&body, t.value);
+    for (const Tuple& t : tuples) w.F64(t.value);
   }
   return body;
 }
 
-Status DecodeTuples(const std::string& payload, std::vector<Tuple>* out) {
-  Cursor c(payload, kPayloadHeaderBytes);
+Status DecodeTuples(std::string_view body, std::vector<Tuple>* out) {
+  wire::Reader r(body);
   uint8_t flags = 0;
   uint64_t count = 0, runs = 0;
-  if (!c.U8(&flags) || !c.Varint(&count) || !c.Varint(&runs)) {
+  if (!r.U8(&flags) || !r.Varint(&count) || !r.Varint(&runs)) {
     return Status::Invalid("journal: truncated tuple record header");
   }
-  if (count > (1ull << 32) || runs > count) {
+  // Every tuple costs at least its ts-delta varint byte and every run its
+  // key and length bytes: larger counts are forged and must not reach the
+  // reserve() below.
+  if (runs > count || !r.Count(count, 1) || !r.Count(runs, 2)) {
     return Status::Invalid("journal: implausible tuple record counts");
   }
   std::vector<Tuple> tuples;
   tuples.reserve(count);
-  for (uint64_t r = 0; r < runs; ++r) {
+  for (uint64_t run = 0; run < runs; ++run) {
     uint64_t key = 0, n = 0;
-    if (!c.Varint(&key) || !c.Varint(&n)) {
+    if (!r.Varint(&key) || !r.Varint(&n)) {
       return Status::Invalid("journal: truncated key run");
     }
-    if (tuples.size() + n > count) {
+    if (n > count - tuples.size()) {
       return Status::Invalid("journal: key runs exceed tuple count");
     }
-    for (uint64_t k = 0; k < n; ++k) {
-      Tuple t;
-      t.key = key;
-      t.value = 1.0;
-      tuples.push_back(t);
-    }
+    tuples.resize(tuples.size() + n, Tuple{0, key, 1.0});
   }
   if (tuples.size() != count) {
     return Status::Invalid("journal: key runs short of tuple count");
   }
-  TimeMicros prev = 0;
+  uint64_t prev = 0;
   for (Tuple& t : tuples) {
-    uint64_t delta = 0;
-    if (!c.Varint(&delta)) return Status::Invalid("journal: truncated ts delta");
-    prev += UnZigZag(delta);
-    t.ts = prev;
+    int64_t delta = 0;
+    if (!r.ZigZag(&delta)) return Status::Invalid("journal: truncated ts delta");
+    prev += static_cast<uint64_t>(delta);
+    t.ts = static_cast<TimeMicros>(prev);
   }
   if ((flags & 1) == 0) {
     for (Tuple& t : tuples) {
-      if (!c.F64(&t.value)) return Status::Invalid("journal: truncated value");
+      if (!r.F64(&t.value)) return Status::Invalid("journal: truncated value");
     }
   }
   out->insert(out->end(), tuples.begin(), tuples.end());
@@ -250,34 +101,35 @@ Status DecodeTuples(const std::string& payload, std::vector<Tuple>* out) {
 
 std::string EncodeOutcome(const BatchOutcome& o) {
   std::string body;
-  PutU64(&body, o.output_hash);
-  for (double v : o.signals) PutF64(&body, v);
-  PutI64(&body, o.map_makespan);
-  PutI64(&body, o.reduce_makespan);
-  PutI64(&body, o.partition_overflow);
-  PutI32(&body, o.technique);
-  PutU8(&body, o.technique_switched ? 1 : 0);
-  PutI32(&body, o.switched_from);
-  PutU8(&body, static_cast<uint8_t>(o.dominant));
-  PutI64(&body, o.total_excess);
-  PutI64(&body, o.threshold);
-  for (TimeMicros e : o.excess) PutI64(&body, e);
+  wire::Writer w(&body);
+  w.U64(o.output_hash);
+  for (double v : o.signals) w.F64(v);
+  w.I64(o.map_makespan);
+  w.I64(o.reduce_makespan);
+  w.I64(o.partition_overflow);
+  w.I32(o.technique);
+  w.U8(o.technique_switched ? 1 : 0);
+  w.I32(o.switched_from);
+  w.U8(static_cast<uint8_t>(o.dominant));
+  w.I64(o.total_excess);
+  w.I64(o.threshold);
+  for (TimeMicros e : o.excess) w.I64(e);
   return body;
 }
 
-Status DecodeOutcome(const std::string& payload, uint64_t batch_id,
+Status DecodeOutcome(std::string_view body, uint64_t batch_id,
                      BatchOutcome* out) {
-  Cursor c(payload, kPayloadHeaderBytes);
+  wire::Reader r(body);
   BatchOutcome o;
   o.batch_id = batch_id;
-  bool ok = c.U64(&o.output_hash);
-  for (size_t s = 0; ok && s < kTimeSeriesSignals; ++s) ok = c.F64(&o.signals[s]);
-  ok = ok && c.I64(&o.map_makespan) && c.I64(&o.reduce_makespan) &&
-       c.I64(&o.partition_overflow) && c.I32(&o.technique);
+  bool ok = r.U64(&o.output_hash);
+  for (size_t s = 0; ok && s < kTimeSeriesSignals; ++s) ok = r.F64(&o.signals[s]);
+  ok = ok && r.I64(&o.map_makespan) && r.I64(&o.reduce_makespan) &&
+       r.I64(&o.partition_overflow) && r.I32(&o.technique);
   uint8_t switched = 0, dominant = 0;
-  ok = ok && c.U8(&switched) && c.I32(&o.switched_from) && c.U8(&dominant) &&
-       c.I64(&o.total_excess) && c.I64(&o.threshold);
-  for (size_t e = 0; ok && e < kBatchCauses; ++e) ok = c.I64(&o.excess[e]);
+  ok = ok && r.U8(&switched) && r.I32(&o.switched_from) && r.U8(&dominant) &&
+       r.I64(&o.total_excess) && r.I64(&o.threshold);
+  for (size_t e = 0; ok && e < kBatchCauses; ++e) ok = r.I64(&o.excess[e]);
   if (!ok || dominant >= kBatchCauses) {
     return Status::Invalid("journal: malformed outcome record");
   }
@@ -289,22 +141,22 @@ Status DecodeOutcome(const std::string& payload, uint64_t batch_id,
 
 std::string EncodeEnv(const BatchEnv& env) {
   std::string body;
-  PutI64(&body, env.partition_cost);
-  PutI64(&body, env.seal_barrier_latency);
-  PutI64(&body, env.merge_latency);
-  PutU64(&body, env.ring_high_water);
-  PutU64(&body, env.ring_capacity);
+  wire::Writer w(&body);
+  w.I64(env.partition_cost);
+  w.I64(env.seal_barrier_latency);
+  w.I64(env.merge_latency);
+  w.U64(env.ring_high_water);
+  w.U64(env.ring_capacity);
   return body;
 }
 
-Status DecodeEnv(const std::string& payload, uint64_t batch_id,
-                 BatchEnv* out) {
-  Cursor c(payload, kPayloadHeaderBytes);
+Status DecodeEnv(std::string_view body, uint64_t batch_id, BatchEnv* out) {
+  wire::Reader r(body);
   BatchEnv env;
   env.batch_id = batch_id;
-  if (!c.I64(&env.partition_cost) || !c.I64(&env.seal_barrier_latency) ||
-      !c.I64(&env.merge_latency) || !c.U64(&env.ring_high_water) ||
-      !c.U64(&env.ring_capacity)) {
+  if (!r.I64(&env.partition_cost) || !r.I64(&env.seal_barrier_latency) ||
+      !r.I64(&env.merge_latency) || !r.U64(&env.ring_high_water) ||
+      !r.U64(&env.ring_capacity)) {
     return Status::Invalid("journal: malformed batch-env record");
   }
   *out = env;
@@ -427,11 +279,7 @@ Result<JournalManifest> JournalManifest::Parse(const std::string& text) {
 // ---- Outcome helpers ----
 
 bool BatchOutcome::BitIdentical(const BatchOutcome& other) const {
-  auto bits = [](double v) {
-    uint64_t b;
-    std::memcpy(&b, &v, 8);
-    return b;
-  };
+  auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
   if (batch_id != other.batch_id || output_hash != other.output_hash ||
       map_makespan != other.map_makespan ||
       reduce_makespan != other.reduce_makespan ||
@@ -533,9 +381,7 @@ uint64_t HashBatchOutput(const std::vector<KV>& output) {
   // order cannot matter, and a (key, value) change always flips the hash.
   uint64_t h = Mix64(output.size() ^ 0x9E3779B97F4A7C15ull);
   for (const KV& kv : output) {
-    uint64_t bits;
-    std::memcpy(&bits, &kv.value, 8);
-    h ^= Mix64(kv.key ^ Mix64(bits));
+    h ^= Mix64(kv.key ^ Mix64(std::bit_cast<uint64_t>(kv.value)));
   }
   return h;
 }
@@ -587,7 +433,8 @@ Result<JournalData> ReadJournal(const std::string& dir) {
   if (!std::filesystem::is_directory(dir, ec)) {
     return Status::IOError("journal directory not found: " + dir);
   }
-  const auto segments = ListSegments(dir);
+  PROMPT_ASSIGN_OR_RETURN(std::vector<SegmentFile> segments,
+                          ListSegments(dir, "journal"));
   if (segments.empty()) {
     return Status::Invalid("no journal segments in " + dir);
   }
@@ -604,96 +451,75 @@ Result<JournalData> ReadJournal(const std::string& dir) {
     }
     data.torn_records += scan.torn_records;
     for (const SegmentRecord& record : scan.records) {
-      Cursor c(record.payload, 0);
-      uint8_t kind = 0;
-      uint32_t owner = 0;
-      uint64_t batch_id = 0;
-      if (!c.U8(&kind) || !c.U32(&owner) || !c.U64(&batch_id)) {
+      RecordPayload p;
+      if (!ParsePayload(record.payload, &p)) {
         return Status::Invalid("journal: record shorter than payload header");
       }
-      switch (static_cast<JournalRecordKind>(kind)) {
-        case JournalRecordKind::kManifest: {
-          PROMPT_ASSIGN_OR_RETURN(pending_manifest,
-                                  JournalManifest::Parse(c.Rest()));
-          have_pending_manifest = true;
-          if (!have_manifest) {
-            data.manifest = pending_manifest;
-            have_manifest = true;
-          }
-          break;
+      const auto kind = static_cast<JournalRecordKind>(p.kind);
+      if (kind == JournalRecordKind::kManifest) {
+        PROMPT_ASSIGN_OR_RETURN(pending_manifest,
+                                JournalManifest::Parse(std::string(p.body)));
+        have_pending_manifest = true;
+        if (!have_manifest) {
+          data.manifest = pending_manifest;
+          have_manifest = true;
         }
-        case JournalRecordKind::kRunStart: {
-          data.attempts.emplace_back();
-          attempt = &data.attempts.back();
-          // Each Open appends its lifetime's manifest just before the
-          // run-start marker; bind it to this attempt.
-          if (have_pending_manifest) {
-            attempt->manifest = std::move(pending_manifest);
-            have_pending_manifest = false;
-          }
-          break;
+        continue;
+      }
+      if (kind == JournalRecordKind::kRunStart) {
+        attempt = &data.attempts.emplace_back();
+        // Each Open appends its lifetime's manifest just before the
+        // run-start marker; bind it to this attempt.
+        if (have_pending_manifest) {
+          attempt->manifest = std::move(pending_manifest);
+          have_pending_manifest = false;
         }
-        case JournalRecordKind::kBatchTuples: {
-          if (attempt == nullptr) {
-            data.attempts.emplace_back();
-            attempt = &data.attempts.back();
-          }
-          PROMPT_RETURN_NOT_OK(DecodeTuples(record.payload, &attempt->tuples));
+        continue;
+      }
+      // Everything else belongs to the current attempt; stray records
+      // before any run-start marker get a synthesized one.
+      if (attempt == nullptr) attempt = &data.attempts.emplace_back();
+      wire::Reader r(p.body);
+      switch (kind) {
+        case JournalRecordKind::kBatchTuples:
+          PROMPT_RETURN_NOT_OK(DecodeTuples(p.body, &attempt->tuples));
           break;
-        }
         case JournalRecordKind::kOutcome: {
-          if (attempt == nullptr) {
-            data.attempts.emplace_back();
-            attempt = &data.attempts.back();
-          }
           BatchOutcome outcome;
-          PROMPT_RETURN_NOT_OK(
-              DecodeOutcome(record.payload, batch_id, &outcome));
-          attempt->outcomes[owner].push_back(outcome);
+          PROMPT_RETURN_NOT_OK(DecodeOutcome(p.body, p.batch_id, &outcome));
+          attempt->outcomes[p.owner].push_back(outcome);
           break;
         }
         case JournalRecordKind::kSwitch: {
-          if (attempt == nullptr) {
-            data.attempts.emplace_back();
-            attempt = &data.attempts.back();
-          }
           JournalSwitch s;
-          s.owner = owner;
-          s.after_batch = batch_id;
-          if (!c.I32(&s.from) || !c.I32(&s.to)) {
+          s.owner = p.owner;
+          s.after_batch = p.batch_id;
+          if (!r.I32(&s.from) || !r.I32(&s.to)) {
             return Status::Invalid("journal: malformed switch record");
           }
-          s.reason = c.Rest();
+          s.reason = r.Rest();
           attempt->switches.push_back(std::move(s));
           break;
         }
         case JournalRecordKind::kFault: {
-          if (attempt == nullptr) {
-            data.attempts.emplace_back();
-            attempt = &data.attempts.back();
-          }
           JournalFault f;
-          f.batch_id = batch_id;
-          f.target = owner;
-          if (!c.U8(&f.point) || !c.U8(&f.kind)) {
+          f.batch_id = p.batch_id;
+          f.target = p.owner;
+          if (!r.U8(&f.point) || !r.U8(&f.kind)) {
             return Status::Invalid("journal: malformed fault record");
           }
           attempt->faults.push_back(f);
           break;
         }
         case JournalRecordKind::kBatchEnv: {
-          if (attempt == nullptr) {
-            data.attempts.emplace_back();
-            attempt = &data.attempts.back();
-          }
           BatchEnv env;
-          PROMPT_RETURN_NOT_OK(DecodeEnv(record.payload, batch_id, &env));
-          attempt->envs[{owner, batch_id}] = env;
+          PROMPT_RETURN_NOT_OK(DecodeEnv(p.body, p.batch_id, &env));
+          attempt->envs[{p.owner, p.batch_id}] = env;
           break;
         }
         default:
           return Status::Invalid("journal: unknown record kind " +
-                                 std::to_string(kind) + " in " + path);
+                                 std::to_string(p.kind) + " in " + path);
       }
     }
   }
@@ -723,7 +549,8 @@ Result<std::unique_ptr<JournalWriter>> JournalWriter::Open(
                            ec.message());
   }
   std::unique_ptr<JournalWriter> writer(new JournalWriter(options));
-  const auto segments = ListSegments(options.dir);
+  PROMPT_ASSIGN_OR_RETURN(std::vector<SegmentFile> segments,
+                          ListSegments(options.dir, "journal"));
   if (segments.empty()) {
     writer->fresh_ = true;
     PROMPT_ASSIGN_OR_RETURN(SegmentWriter * active, writer->ActiveSegment());
@@ -731,24 +558,20 @@ Result<std::unique_ptr<JournalWriter>> JournalWriter::Open(
   } else {
     // Resuming an existing journal (crash/restart lineage): truncate any
     // torn tail, then reopen the newest segment for append.
+    uint64_t newest_bytes = 0;
     for (const auto& [id, path] : segments) {
-      PROMPT_ASSIGN_OR_RETURN(SegmentScan scan, ScanSegmentFile(path));
+      PROMPT_ASSIGN_OR_RETURN(SegmentScan scan,
+                              RecoverSegmentFile(path, "journal"));
       if (!scan.header_ok) {
         return Status::IOError("journal: corrupt segment header in " + path);
       }
-      if (scan.torn_bytes > 0) {
-        PROMPT_LOG(kWarn) << "journal: truncating " << scan.torn_bytes
-                          << " torn byte(s) from " << path;
-        PROMPT_RETURN_NOT_OK(TruncateFile(path, scan.valid_bytes));
-      }
       writer->appended_bytes_ += scan.valid_bytes;
+      newest_bytes = scan.valid_bytes;
     }
-    const auto& [newest_id, newest_path] = segments.back();
-    PROMPT_ASSIGN_OR_RETURN(SegmentScan newest, ScanSegmentFile(newest_path));
     PROMPT_ASSIGN_OR_RETURN(
         writer->active_,
-        SegmentWriter::OpenExisting(newest_path, newest.valid_bytes));
-    writer->active_id_ = newest_id;
+        SegmentWriter::OpenExisting(segments.back().path, newest_bytes));
+    writer->active_id_ = segments.back().id;
   }
   // One manifest + run-start marker per engine lifetime — resumed runs may
   // carry different options than the run they extend (a restart typically
@@ -772,11 +595,9 @@ Result<SegmentWriter*> JournalWriter::ActiveSegment() {
     PROMPT_RETURN_NOT_OK(active_->Sync());
     ++active_id_;
   }
-  char name[32];
-  std::snprintf(name, sizeof(name), "seg-%06llu.log",
-                static_cast<unsigned long long>(active_id_));
   const std::string path =
-      (std::filesystem::path(options_.dir) / name).string();
+      (std::filesystem::path(options_.dir) / SegmentFileName(active_id_))
+          .string();
   PROMPT_ASSIGN_OR_RETURN(active_, SegmentWriter::Create(path));
   if (Status st = SyncDir(options_.dir); !st.ok()) {
     PROMPT_LOG(kWarn) << "journal: directory sync failed: " << st.ToString();
@@ -787,7 +608,8 @@ Result<SegmentWriter*> JournalWriter::ActiveSegment() {
 Status JournalWriter::Append(JournalRecordKind kind, uint32_t owner,
                              uint64_t batch_id, const std::string& body) {
   PROMPT_ASSIGN_OR_RETURN(SegmentWriter * segment, ActiveSegment());
-  const std::string payload = MakePayload(kind, owner, batch_id, body);
+  const std::string payload =
+      MakePayload(static_cast<uint8_t>(kind), owner, batch_id, body);
   PROMPT_ASSIGN_OR_RETURN(uint64_t offset, segment->Append(payload));
   (void)offset;
   appended_bytes_ += kRecordHeaderBytes + payload.size();
@@ -811,17 +633,19 @@ Status JournalWriter::AppendOutcome(uint32_t owner,
 
 Status JournalWriter::AppendSwitch(const JournalSwitch& decision) {
   std::string body;
-  PutI32(&body, decision.from);
-  PutI32(&body, decision.to);
-  body += decision.reason;
+  wire::Writer w(&body);
+  w.I32(decision.from);
+  w.I32(decision.to);
+  w.Bytes(decision.reason);
   return Append(JournalRecordKind::kSwitch, decision.owner,
                 decision.after_batch, body);
 }
 
 Status JournalWriter::AppendFault(const JournalFault& fault) {
   std::string body;
-  PutU8(&body, fault.point);
-  PutU8(&body, fault.kind);
+  wire::Writer w(&body);
+  w.U8(fault.point);
+  w.U8(fault.kind);
   return Append(JournalRecordKind::kFault, fault.target, fault.batch_id, body);
 }
 

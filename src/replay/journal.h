@@ -3,16 +3,11 @@
 // stream (key-run encoded), per-batch outcome fingerprints (time-series
 // signals, autopsy verdict, window output hash), adaptive-switch decisions,
 // fault firings and the effective engine options — in the durable store's
-// segment format (store/segment.h: "PSG1" header, CRC32C-framed records,
-// torn tails truncated on open).
-//
-// A journal directory holds numbered `seg-NNNNNN.log` files whose record
-// payloads share the DurableBlockStore convention:
-//   [kind u8][owner u32][batch_id u64][body]
-// with journal-specific kinds (disjoint from the store's put/tombstone).
-// `owner` is 0 for the single-tenant engine and the tenant index under the
-// multi-tenant engine; the tuple stream is always recorded once, pre-fan-out
-// (owner 0).
+// segment format. Naming, framing, torn-tail repair and the record payload
+// header all come from store/segment.h; this file owns only the
+// journal-specific record kinds and bodies. `owner` is 0 for the
+// single-tenant engine and the tenant index under the multi-tenant engine;
+// the tuple stream is always recorded once, pre-fan-out (owner 0).
 //
 // Every engine construction appends a run-start marker, so one directory
 // records a whole crash/restart lineage: replay partitions the record

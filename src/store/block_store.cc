@@ -1,14 +1,9 @@
 #include "store/block_store.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <string_view>
 
 #include "common/logging.h"
-#include "store/crc32c.h"
 
 namespace prompt {
 
@@ -16,70 +11,6 @@ namespace {
 
 constexpr uint8_t kRecordPut = 1;
 constexpr uint8_t kRecordTombstone = 2;
-/// kind u8 + owner u32 + batch_id u64.
-constexpr size_t kPayloadHeaderBytes = 13;
-
-void PutU32(uint32_t v, std::string* out) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-void PutU64(uint64_t v, std::string* out) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-/// Builds the record payload framing a put/tombstone.
-std::string MakePayload(uint8_t kind, uint32_t owner, uint64_t batch_id,
-                        const std::string& body) {
-  std::string payload;
-  payload.reserve(kPayloadHeaderBytes + body.size());
-  payload.push_back(static_cast<char>(kind));
-  PutU32(owner, &payload);
-  PutU64(batch_id, &payload);
-  payload += body;
-  return payload;
-}
-
-struct ParsedPayload {
-  uint8_t kind = 0;
-  uint32_t owner = 0;
-  uint64_t batch_id = 0;
-  size_t body_offset = kPayloadHeaderBytes;
-};
-
-bool ParsePayload(const std::string& payload, ParsedPayload* out) {
-  if (payload.size() < kPayloadHeaderBytes) return false;
-  out->kind = static_cast<uint8_t>(payload[0]);
-  std::memcpy(&out->owner, payload.data() + 1, 4);
-  std::memcpy(&out->batch_id, payload.data() + 5, 8);
-  return out->kind == kRecordPut || out->kind == kRecordTombstone;
-}
-
-/// Strictly parses "seg-<digits>.log" — the full name, any digit count —
-/// so stray files (seg-000001.log.bak, editor droppings) are never taken
-/// for segments and ids past 6 digits keep working.
-bool ParseSegmentFilename(const std::string& name, uint64_t* id) {
-  constexpr std::string_view kPrefix = "seg-";
-  constexpr std::string_view kSuffix = ".log";
-  if (name.size() < kPrefix.size() + 1 + kSuffix.size()) return false;
-  if (name.compare(0, kPrefix.size(), kPrefix) != 0) return false;
-  if (name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-      0) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (size_t i = kPrefix.size(); i < name.size() - kSuffix.size(); ++i) {
-    const char c = name[i];
-    if (c < '0' || c > '9') return false;
-    const uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) return false;  // overflow
-    value = value * 10 + digit;
-  }
-  *id = value;
-  return true;
-}
 
 }  // namespace
 
@@ -105,13 +36,6 @@ DurableBlockStore::DurableBlockStore(StoreOptions options)
 
 DurableBlockStore::~DurableBlockStore() = default;
 
-std::string DurableBlockStore::SegmentPath(uint64_t id) const {
-  char name[32];
-  std::snprintf(name, sizeof(name), "seg-%06llu.log",
-                static_cast<unsigned long long>(id));
-  return options_.dir + "/" + name;
-}
-
 Result<std::unique_ptr<DurableBlockStore>> DurableBlockStore::Open(
     StoreOptions options) {
   if (!options.enabled()) {
@@ -130,28 +54,11 @@ Result<std::unique_ptr<DurableBlockStore>> DurableBlockStore::Open(
 }
 
 Status DurableBlockStore::ScanExisting() {
-  // Segment ids are their filenames. Keep each entry's own path (never
-  // re-derive it from the id: a hand-renamed but still well-formed name
-  // like seg-1.log must be read from where it actually is).
-  std::vector<std::pair<uint64_t, std::string>> found;
-  for (const auto& entry : std::filesystem::directory_iterator(options_.dir)) {
-    uint64_t id = 0;
-    if (ParseSegmentFilename(entry.path().filename().string(), &id)) {
-      found.emplace_back(id, entry.path().string());
-    }
-  }
-  std::sort(found.begin(), found.end());
-
+  PROMPT_ASSIGN_OR_RETURN(std::vector<SegmentFile> found,
+                          ListSegments(options_.dir, "store"));
   for (const auto& [id, path] : found) {
-    if (segments_.count(id) > 0) {
-      // Two well-formed names for one id (seg-1.log vs seg-000001.log):
-      // trust the first, never index records whose offsets belong to a
-      // file the id no longer names.
-      PROMPT_LOG(kWarn) << "store: duplicate segment id " << id << " at "
-                        << path << "; ignoring the file";
-      continue;
-    }
-    PROMPT_ASSIGN_OR_RETURN(SegmentScan scan, ScanSegmentFile(path));
+    PROMPT_ASSIGN_OR_RETURN(SegmentScan scan,
+                            RecoverSegmentFile(path, "store"));
     ++recovery_.segments_scanned;
     recovery_.torn_records += scan.torn_records;
     recovery_.torn_bytes += scan.torn_bytes;
@@ -164,13 +71,6 @@ Status DurableBlockStore::ScanExisting() {
       SyncDirBestEffort();
       continue;
     }
-    if (scan.torn_bytes > 0) {
-      // Truncate at the first bad CRC/length — the torn-tail repair rule.
-      PROMPT_LOG(kWarn) << "store: truncating torn tail of " << path << " ("
-                        << scan.torn_bytes << " bytes past offset "
-                        << scan.valid_bytes << ")";
-      PROMPT_RETURN_NOT_OK(TruncateFile(path, scan.valid_bytes));
-    }
     Segment segment;
     segment.id = id;
     segment.path = path;
@@ -178,8 +78,9 @@ Status DurableBlockStore::ScanExisting() {
     next_segment_id_ = std::max(next_segment_id_, id + 1);
 
     for (SegmentRecord& record : scan.records) {
-      ParsedPayload parsed;
-      if (!ParsePayload(record.payload, &parsed)) {
+      RecordPayload parsed;
+      if (!ParsePayload(record.payload, &parsed) ||
+          (parsed.kind != kRecordPut && parsed.kind != kRecordTombstone)) {
         // Checksum-valid but unparseable means a format bug, not bit rot;
         // be conservative and skip (never fabricate a batch from it).
         PROMPT_LOG(kWarn) << "store: skipping unparseable record in " << path;
@@ -240,7 +141,7 @@ DurableBlockStore::Segment* DurableBlockStore::ActiveSegment() {
   const uint64_t id = next_segment_id_++;
   Segment segment;
   segment.id = id;
-  segment.path = SegmentPath(id);
+  segment.path = options_.dir + "/" + SegmentFileName(id);
   auto writer = SegmentWriter::Create(segment.path);
   if (!writer.ok()) {
     PROMPT_LOG(kWarn) << "store: cannot create segment " << segment.path
@@ -368,21 +269,10 @@ Result<std::string> DurableBlockStore::Get(uint32_t owner,
   const Location& loc = it->second;
   const auto seg = segments_.find(loc.segment_id);
   PROMPT_CHECK(seg != segments_.end());
-  std::ifstream in(seg->second.path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + seg->second.path);
-  in.seekg(static_cast<std::streamoff>(loc.offset));
-  std::string frame(kRecordHeaderBytes + loc.payload_bytes, '\0');
-  in.read(frame.data(), static_cast<std::streamsize>(frame.size()));
-  if (in.gcount() != static_cast<std::streamsize>(frame.size())) {
-    return Status::IOError("short read from " + seg->second.path);
-  }
-  uint32_t stored = 0;
-  std::memcpy(&stored, frame.data() + 4, 4);
-  if (MaskCrc32c(Crc32c(frame.data() + kRecordHeaderBytes,
-                        loc.payload_bytes)) != stored) {
-    return Status::IOError("record checksum mismatch in " + seg->second.path);
-  }
-  return frame.substr(kRecordHeaderBytes + kPayloadHeaderBytes);
+  PROMPT_ASSIGN_OR_RETURN(
+      std::string payload,
+      ReadSegmentRecord(seg->second.path, loc.offset, loc.payload_bytes));
+  return payload.substr(kPayloadHeaderBytes);
 }
 
 bool DurableBlockStore::Contains(uint32_t owner, uint64_t batch_id) const {

@@ -5,12 +5,11 @@
 // survives a process kill and is recovered bit-identically on reopen,
 // subject to the configured fsync policy.
 //
-// Layout: numbered segment files (`seg-000000.log`, ...) of length-prefixed
-// CRC32C-checksummed records (store/segment.h). A record payload is
-//   [kind u8][owner u32][batch_id u64][body]
-// where kind is put (body = EncodeBatch bytes) or tombstone (empty body).
-// `owner` namespaces batch ids — 0 for the single-tenant engine, the tenant
-// index for the multi-tenant engine sharing one store.
+// Layout: numbered segment files of CRC32C-framed records (store/segment.h,
+// which owns every format detail). Record payload kinds are put (body =
+// EncodeBatch bytes) and tombstone (empty body). `owner` namespaces batch
+// ids — 0 for the single-tenant engine, the tenant index for the
+// multi-tenant engine sharing one store.
 //
 // The offset index is memory-only and rebuilt by scanning every segment on
 // Open(): puts set the key, tombstones clear it, the last write wins. A
@@ -164,7 +163,6 @@ class DurableBlockStore {
 
   explicit DurableBlockStore(StoreOptions options);
 
-  std::string SegmentPath(uint64_t id) const;
   Segment* ActiveSegment();  ///< rolls to a new segment when full
   Status AppendRecord(const std::string& payload, Location* loc);
   /// Deletes zero-live segments from the front of the log.

@@ -3,27 +3,24 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 
+#include "common/hash.h"
+#include "common/logging.h"
+#include "common/wire.h"
 #include "store/crc32c.h"
 
 namespace prompt {
 
 namespace {
 
-uint32_t ReadU32(const char* p) {
-  uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
-}
-
-void PutU32(uint32_t v, std::string* out) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
+constexpr std::string_view kSegmentPrefix = "seg-";
+constexpr std::string_view kSegmentSuffix = ".log";
 
 Status WriteAll(int fd, const char* data, size_t len) {
   while (len > 0) {
@@ -39,7 +36,150 @@ Status WriteAll(int fd, const char* data, size_t len) {
   return Status::OK();
 }
 
+/// Parses the record frame at the front of `bytes` — length in bounds,
+/// payload complete, CRC matching — and returns its payload. False on a
+/// partial or corrupt frame.
+bool ParseFrame(std::string_view bytes, std::string_view* payload) {
+  wire::Reader r(bytes);
+  uint32_t len = 0, stored = 0;
+  if (!r.U32(&len) || !r.U32(&stored)) return false;
+  if (len > kMaxRecordBytes || !r.Bytes(len, payload)) return false;
+  return MaskCrc32c(Crc32c(payload->data(), payload->size())) == stored;
+}
+
+uint64_t BlobChecksum(std::string_view payload) {
+  uint64_t h = 1469598103934665603ULL;
+  for (unsigned char c : payload) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return Mix64(h);
+}
+
 }  // namespace
+
+// ---- Segment directories ----
+
+std::string SegmentFileName(uint64_t id) {
+  char name[32];
+  std::snprintf(name, sizeof(name), "seg-%06llu.log",
+                static_cast<unsigned long long>(id));
+  return name;
+}
+
+bool ParseSegmentFileName(std::string_view name, uint64_t* id) {
+  if (name.size() < kSegmentPrefix.size() + 1 + kSegmentSuffix.size() ||
+      !name.starts_with(kSegmentPrefix) || !name.ends_with(kSegmentSuffix)) {
+    return false;
+  }
+  const std::string_view digits = name.substr(
+      kSegmentPrefix.size(),
+      name.size() - kSegmentPrefix.size() - kSegmentSuffix.size());
+  uint64_t value = 0;
+  for (const char c : digits) {
+    if (c < '0' || c > '9') return false;
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (UINT64_MAX - digit) / 10) return false;  // overflow
+    value = value * 10 + digit;
+  }
+  *id = value;
+  return true;
+}
+
+Result<std::vector<SegmentFile>> ListSegments(const std::string& dir,
+                                              const char* who) {
+  struct Found {
+    uint64_t id;
+    bool canonical;
+    std::string path;
+  };
+  std::vector<Found> found;
+  std::error_code ec;
+  for (std::filesystem::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    uint64_t id = 0;
+    std::error_code type_ec;
+    if (!it->is_regular_file(type_ec) || !ParseSegmentFileName(name, &id)) {
+      continue;
+    }
+    found.push_back(
+        Found{id, name == SegmentFileName(id), it->path().string()});
+  }
+  if (ec) {
+    return Status::IOError(std::string(who) + ": cannot list " + dir + ": " +
+                           ec.message());
+  }
+  std::sort(found.begin(), found.end(), [](const Found& a, const Found& b) {
+    if (a.id != b.id) return a.id < b.id;
+    if (a.canonical != b.canonical) return a.canonical;
+    return a.path < b.path;
+  });
+  std::vector<SegmentFile> segments;
+  segments.reserve(found.size());
+  for (Found& f : found) {
+    if (!segments.empty() && segments.back().id == f.id) {
+      PROMPT_LOG(kWarn) << who << ": duplicate segment id " << f.id << " at "
+                        << f.path << "; ignoring the file";
+      continue;
+    }
+    segments.push_back(SegmentFile{f.id, std::move(f.path)});
+  }
+  return segments;
+}
+
+// ---- Record payload header ----
+
+std::string MakePayload(uint8_t kind, uint32_t owner, uint64_t batch_id,
+                        std::string_view body) {
+  std::string payload;
+  payload.reserve(kPayloadHeaderBytes + body.size());
+  wire::Writer w(&payload);
+  w.U8(kind);
+  w.U32(owner);
+  w.U64(batch_id);
+  w.Bytes(body);
+  return payload;
+}
+
+bool ParsePayload(std::string_view payload, RecordPayload* out) {
+  wire::Reader r(payload);
+  if (!r.U8(&out->kind) || !r.U32(&out->owner) || !r.U64(&out->batch_id)) {
+    return false;
+  }
+  out->body = r.Rest();
+  return true;
+}
+
+// ---- Checksummed blobs ----
+
+std::string SealBlob(uint32_t magic, std::string_view payload) {
+  std::string blob;
+  blob.reserve(kBlobHeaderBytes + payload.size());
+  wire::Writer w(&blob);
+  w.U32(magic);
+  w.U64(BlobChecksum(payload));
+  w.Bytes(payload);
+  return blob;
+}
+
+Status CheckBlob(uint32_t magic, std::string_view blob, const char* what) {
+  wire::Reader r(blob);
+  uint32_t stored_magic = 0;
+  uint64_t checksum = 0;
+  if (!r.U32(&stored_magic) || stored_magic != magic) {
+    return Status::Invalid(std::string("bad ") + what + " magic");
+  }
+  if (!r.U64(&checksum)) {
+    return Status::Invalid(std::string("truncated ") + what + " checksum");
+  }
+  if (BlobChecksum(r.Rest()) != checksum) {
+    return Status::Invalid(std::string(what) + " checksum mismatch");
+  }
+  return Status::OK();
+}
+
+// ---- Segment files ----
 
 Result<SegmentScan> ScanSegmentFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -50,9 +190,10 @@ Result<SegmentScan> ScanSegmentFile(const std::string& path) {
 
   SegmentScan scan;
   scan.file_bytes = bytes.size();
-  if (bytes.size() < kSegmentHeaderBytes ||
-      ReadU32(bytes.data()) != kSegmentMagic ||
-      ReadU32(bytes.data() + 4) != kSegmentVersion) {
+  wire::Reader header(bytes);
+  uint32_t magic = 0, version = 0;
+  if (!header.U32(&magic) || !header.U32(&version) || magic != kSegmentMagic ||
+      version != kSegmentVersion) {
     // No trustworthy header: nothing in the file can be believed.
     scan.header_ok = false;
     scan.valid_bytes = 0;
@@ -62,26 +203,62 @@ Result<SegmentScan> ScanSegmentFile(const std::string& path) {
   }
   scan.header_ok = true;
 
+  const std::string_view view(bytes);
   uint64_t off = kSegmentHeaderBytes;
-  while (off < bytes.size()) {
-    if (off + kRecordHeaderBytes > bytes.size()) break;  // partial header
-    const uint64_t len = ReadU32(bytes.data() + off);
-    const uint32_t stored = ReadU32(bytes.data() + off + 4);
-    if (len > kMaxRecordBytes || off + kRecordHeaderBytes + len > bytes.size()) {
-      break;  // insane or partial payload — a torn write
-    }
-    const char* payload = bytes.data() + off + kRecordHeaderBytes;
-    if (MaskCrc32c(Crc32c(payload, len)) != stored) break;  // bit rot / tear
+  std::string_view payload;
+  // Stop at the first partial, insane or CRC-failing frame — a torn write
+  // or bit rot; nothing after it is trusted.
+  while (off < bytes.size() && ParseFrame(view.substr(off), &payload)) {
     SegmentRecord record;
     record.offset = off;
-    record.payload.assign(payload, len);
+    record.payload.assign(payload);
     scan.records.push_back(std::move(record));
-    off += kRecordHeaderBytes + len;
+    off += kRecordHeaderBytes + payload.size();
   }
   scan.valid_bytes = off;
   scan.torn_bytes = bytes.size() - off;
   scan.torn_records = scan.torn_bytes > 0 ? 1 : 0;
   return scan;
+}
+
+Result<SegmentScan> RecoverSegmentFile(const std::string& path,
+                                       const char* who) {
+  PROMPT_ASSIGN_OR_RETURN(SegmentScan scan, ScanSegmentFile(path));
+  if (scan.header_ok && scan.torn_bytes > 0) {
+    PROMPT_LOG(kWarn) << who << ": truncating torn tail of " << path << " ("
+                      << scan.torn_bytes << " bytes past offset "
+                      << scan.valid_bytes << ")";
+    PROMPT_RETURN_NOT_OK(TruncateFile(path, scan.valid_bytes));
+  }
+  return scan;
+}
+
+std::string FrameRecord(std::string_view payload) {
+  std::string frame;
+  frame.reserve(kRecordHeaderBytes + payload.size());
+  wire::Writer w(&frame);
+  w.U32(static_cast<uint32_t>(payload.size()));
+  w.U32(MaskCrc32c(Crc32c(payload.data(), payload.size())));
+  w.Bytes(payload);
+  return frame;
+}
+
+Result<std::string> ReadSegmentRecord(const std::string& path,
+                                      uint64_t offset, uint64_t payload_bytes) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::IOError("cannot open " + path);
+  in.seekg(static_cast<std::streamoff>(offset));
+  std::string frame(kRecordHeaderBytes + payload_bytes, '\0');
+  in.read(frame.data(), static_cast<std::streamsize>(frame.size()));
+  if (in.gcount() != static_cast<std::streamsize>(frame.size())) {
+    return Status::IOError("short read from " + path);
+  }
+  std::string_view payload;
+  if (!ParseFrame(frame, &payload) || payload.size() != payload_bytes) {
+    return Status::IOError("record checksum mismatch in " + path);
+  }
+  frame.erase(0, kRecordHeaderBytes);
+  return frame;
 }
 
 Status TruncateFile(const std::string& path, uint64_t size) {
@@ -132,8 +309,9 @@ Result<std::unique_ptr<SegmentWriter>> SegmentWriter::Create(
                            std::strerror(errno));
   }
   std::string header;
-  PutU32(kSegmentMagic, &header);
-  PutU32(kSegmentVersion, &header);
+  wire::Writer w(&header);
+  w.U32(kSegmentMagic);
+  w.U32(kSegmentVersion);
   if (Status st = WriteAll(fd, header.data(), header.size()); !st.ok()) {
     ::close(fd);
     return st;
@@ -169,11 +347,7 @@ Result<uint64_t> SegmentWriter::Append(const std::string& payload) {
   if (payload.size() > kMaxRecordBytes) {
     return Status::Invalid("segment record exceeds the size bound");
   }
-  std::string frame;
-  frame.reserve(kRecordHeaderBytes + payload.size());
-  PutU32(static_cast<uint32_t>(payload.size()), &frame);
-  PutU32(MaskCrc32c(Crc32c(payload.data(), payload.size())), &frame);
-  frame += payload;
+  const std::string frame = FrameRecord(payload);
   PROMPT_RETURN_NOT_OK(WriteAll(fd_, frame.data(), frame.size()));
   const uint64_t offset = size_;
   size_ += frame.size();

@@ -6,6 +6,8 @@
 #include <map>
 
 #include "common/random.h"
+#include "common/wire.h"
+#include "store/segment.h"
 
 namespace prompt {
 namespace {
@@ -169,6 +171,26 @@ TEST(WindowCheckpointTest, CorruptionDetected) {
   EXPECT_TRUE(restored.Restore(bytes).IsInvalid());
   EXPECT_TRUE(restored.Restore("junk").IsInvalid());
   EXPECT_TRUE(restored.Restore(bytes.substr(0, 10)).IsInvalid());
+}
+
+TEST(WindowCheckpointTest, ForgedEntryCountRejectedWithoutAllocation) {
+  // A checkpoint whose checksum verifies but whose per-batch entry count is
+  // forged: at 2^60 a multiplied bound (n * 16) wraps to 0, so the count
+  // must be checked by division before it reaches reserve().
+  for (uint64_t forged : {1ull << 60, ~0ull, (1ull << 60) + 1, 1ull << 40}) {
+    std::string payload;
+    wire::Writer w(&payload);
+    w.U64(2);       // window_batches
+    w.U64(1);       // retained batches
+    w.U64(forged);  // entries in batch 0
+    w.U64(7);       // one real entry's worth of bytes
+    w.F64(1.0);
+    const std::string bytes =
+        SealBlob(0x50524d57, payload);  // "PRMW", the checkpoint magic
+    WindowState restored(std::make_shared<SumReduce>(), 2);
+    EXPECT_TRUE(restored.Restore(bytes).IsInvalid()) << "forged=" << forged;
+    EXPECT_EQ(restored.depth(), 0u);
+  }
 }
 
 TEST(WindowCheckpointTest, WorksForNonInvertibleAggregates) {

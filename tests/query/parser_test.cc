@@ -1,5 +1,7 @@
 #include "query/parser.h"
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 namespace prompt {
@@ -96,6 +98,10 @@ struct BadQuery {
   const char* text;
   const char* why;
 };
+
+// Prints the case tag, so the CTest name of each case is stable. Without it
+// gtest prints the two raw pointers, which move with every process launch.
+void PrintTo(const BadQuery& q, std::ostream* os) { *os << q.why; }
 
 class ParserErrorTest : public ::testing::TestWithParam<BadQuery> {};
 

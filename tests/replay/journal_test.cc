@@ -11,6 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "common/wire.h"
+#include "store/segment.h"
+
 namespace prompt {
 namespace {
 
@@ -242,6 +245,93 @@ TEST(JournalTest, TornTailIsDroppedOnReadAndTruncatedOnResume) {
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ(reopened->torn_records, 0u);
   EXPECT_EQ(reopened->attempts.size(), 2u);
+}
+
+/// Records a fresh one-attempt journal whose single segment holds 5 tuples;
+/// returns the segment's path.
+std::string WriteFiveTupleJournal(const std::string& dir) {
+  JournalManifest manifest;
+  manifest.Set("mode", "single");
+  auto writer = MustOpen(Opts(dir), manifest);
+  for (uint64_t i = 0; i < 5; ++i) {
+    writer->RecordTuple(Tuple{static_cast<TimeMicros>(i), i % 2, 1.0});
+  }
+  EXPECT_TRUE(writer->AppendBatchTuples(0).ok());
+  EXPECT_TRUE(writer->Sync().ok());
+  return dir + "/" + SegmentFileName(0);
+}
+
+TEST(JournalTest, ForgedTupleCountIsRejectedNotAllocated) {
+  // A CRC-valid tuple record whose count promises far more tuples than its
+  // bytes hold: the decoder must bound the count by the record size before
+  // reserving, and report Invalid instead of aborting on the allocation.
+  for (uint64_t forged : {1ull << 32, 1ull << 31}) {
+    const std::string dir = FreshDir("journal_forged_count");
+    const std::string seg = WriteFiveTupleJournal(dir);
+    std::string body;
+    wire::Writer w(&body);
+    w.U8(1);          // all values 1.0
+    w.Varint(forged);  // tuple count
+    w.Varint(1);       // one key run
+    w.Varint(3);       // key
+    w.Varint(1);       // run length
+    w.Varint(0);       // a single ts delta
+    {
+      auto segment =
+          SegmentWriter::OpenExisting(seg, std::filesystem::file_size(seg));
+      ASSERT_TRUE(segment.ok());
+      ASSERT_TRUE((*segment)
+                      ->Append(MakePayload(static_cast<uint8_t>(
+                                               JournalRecordKind::kBatchTuples),
+                                           0, 1, body))
+                      .ok());
+    }
+    auto journal = ReadJournal(dir);
+    ASSERT_FALSE(journal.ok()) << "forged=" << forged;
+    EXPECT_TRUE(journal.status().IsInvalid()) << journal.status().ToString();
+  }
+}
+
+TEST(JournalTest, ExtremeTimestampDeltasRoundTrip) {
+  // Consecutive timestamps whose difference overflows int64: the delta
+  // coding must wrap, not hit signed-overflow UB (UBSan builds trap on it).
+  const std::string dir = FreshDir("journal_extreme_ts");
+  const std::vector<TimeMicros> stamps = {
+      INT64_MAX, INT64_MIN + 1, 0, INT64_MAX, -5, INT64_MIN};
+  {
+    auto writer = MustOpen(Opts(dir), JournalManifest());
+    for (TimeMicros ts : stamps) writer->RecordTuple(Tuple{ts, 1, 1.0});
+    ASSERT_TRUE(writer->AppendBatchTuples(0).ok());
+  }
+  auto journal = ReadJournal(dir);
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  const std::vector<Tuple> tuples = journal->AllTuples();
+  ASSERT_EQ(tuples.size(), stamps.size());
+  for (size_t i = 0; i < stamps.size(); ++i) {
+    EXPECT_EQ(tuples[i].ts, stamps[i]) << "i=" << i;
+  }
+}
+
+TEST(JournalTest, DuplicateAndOverflowingSegmentNamesAreSkipped) {
+  const std::string dir = FreshDir("journal_duplicate_segments");
+  const std::string seg = WriteFiveTupleJournal(dir);
+  // A stray second name for id 0, and a 21-digit id that overflows 64
+  // bits: neither may be read as another segment.
+  std::filesystem::copy_file(seg, dir + "/seg-0.log");
+  std::filesystem::copy_file(seg, dir + "/seg-100000000000000000000.log");
+
+  auto journal = ReadJournal(dir);
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  ASSERT_EQ(journal->attempts.size(), 1u);
+  EXPECT_EQ(journal->AllTuples().size(), 5u);
+
+  // A resumed writer appends to the canonical file, so readers still see
+  // each record once.
+  { auto writer = MustOpen(Opts(dir), JournalManifest()); }
+  auto resumed = ReadJournal(dir);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(resumed->attempts.size(), 2u);
+  EXPECT_EQ(resumed->AllTuples().size(), 5u);
 }
 
 TEST(JournalTest, TupleSourceReplaysRecordedStreamVerbatim) {
