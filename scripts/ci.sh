@@ -235,3 +235,29 @@ grep -q 'journals identical' "${LOG_DIR}/replay-smoke-diff.log" || {
   exit 1
 }
 echo "replay smoke: record -> replay -> diff bit-identical"
+
+# The same round trip for the two other journal shapes: a heavy-hitter
+# (--key_mode=sketch) single run, whose manifest must carry the sketch
+# geometry, and a two-tenant (multi-mode) run. Each replay must exit 0 with
+# every published batch identical.
+replay_round_trip() {
+  local name="$1" expect="$2"
+  shift 2
+  local dir="${LOG_DIR}/replay-smoke-${name}-journal"
+  rm -rf "${dir}" "${dir}.replay"
+  "${BUILD_DIR}/tools/promptctl" --dataset=SynD --rate=4000 --zipf=1.0 \
+    --record="${dir}" "$@" 2>&1 | tee "${LOG_DIR}/replay-smoke-${name}-record.log"
+  "${BUILD_DIR}/tools/promptctl" --replay="${dir}" \
+    2>&1 | tee "${LOG_DIR}/replay-smoke-${name}-replay.log"
+  grep -q "journals identical over ${expect} published batches" \
+    "${LOG_DIR}/replay-smoke-${name}-replay.log" || {
+    echo "replay smoke (${name}): replay was not bit-identical over" \
+      "${expect} batches" >&2
+    exit 1
+  }
+  echo "replay smoke (${name}): record -> replay bit-identical"
+}
+replay_round_trip sketch 8 --technique=Prompt --batches=8 --ingest_shards=2 \
+  --key_mode=sketch --sketch_capacity=64
+replay_round_trip tenants 16 --batches=8 --ingest_shards=2 \
+  --queries=examples/two_tenants.query

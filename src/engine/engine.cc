@@ -14,12 +14,81 @@ namespace prompt {
 
 namespace {
 
-/// The flight-recorder manifest: every option that shapes the run's
-/// deterministic outcome, serialized key=value. The replayer's
-/// SingleOptionsFromManifest (src/replay/replayer.cc) parses exactly these
-/// keys back; ReplayResult::manifest_match catches any drift between the
-/// two. Directory paths and journal settings are deliberately absent — a
-/// journal must replay from any location.
+// ---- Flight-recorder manifests: every option that shapes the run's
+// deterministic outcome, serialized key=value in a fixed insertion order
+// (pinned by tests/testdata/format_pins). The replayer's *FromManifest
+// readers (src/replay/replayer.cc) parse exactly these keys back;
+// ReplayResult::manifest_match catches any drift between the two. Directory
+// paths and journal settings are deliberately absent — a journal must
+// replay from any location. The key blocks both engine modes record are
+// written by the shared helpers below.
+
+std::string CandidatesCsv(const std::vector<PartitionerType>& candidates) {
+  std::string csv;
+  for (PartitionerType t : candidates) {
+    if (!csv.empty()) csv += ',';
+    csv += PartitionerTypeName(t);
+  }
+  return csv;
+}
+
+void SetCostKeys(const CostModelParams& c, JournalManifest* m) {
+  m->Set("cost.map_task_fixed_us", c.map_task_fixed_us);
+  m->Set("cost.map_per_tuple_us", c.map_per_tuple_us);
+  m->Set("cost.map_per_key_us", c.map_per_key_us);
+  m->Set("cost.reduce_task_fixed_us", c.reduce_task_fixed_us);
+  m->Set("cost.reduce_per_tuple_us", c.reduce_per_tuple_us);
+  m->Set("cost.reduce_per_cluster_us", c.reduce_per_cluster_us);
+  m->Set("cost.partition_cost_scale", c.partition_cost_scale);
+  m->Set("cost.replicate_per_kib_us", c.replicate_per_kib_us);
+}
+
+void SetAdaptThresholdKeys(const AdaptiveOptions& a, JournalManifest* m) {
+  m->Set("adapt.grace", static_cast<int64_t>(a.grace));
+  m->Set("adapt.window", static_cast<uint64_t>(a.window));
+  m->Set("adapt.calm_block_load_ratio", a.calm_block_load_ratio);
+  m->Set("adapt.calm_split_key_frac", a.calm_split_key_frac);
+}
+
+void SetPartitionerAndObsKeys(const EngineOptions& o, JournalManifest* m) {
+  const PartitionerConfig& config = o.adapt.config;
+  m->Set("partitioner.accumulator",
+         AccumulatorKindName(config.prompt.accumulator_kind));
+  m->Set("partitioner.post_sort", config.prompt.post_sort);
+  m->Set("partitioner.cam_candidates",
+         static_cast<uint64_t>(config.cam_candidates));
+  m->Set("partitioner.sketch_capacity",
+         static_cast<uint64_t>(config.sketch_capacity));
+  m->Set("obs.collect_partition_metrics", o.obs.collect_partition_metrics);
+  m->Set("obs.autopsy.min_excess_frac", o.obs.autopsy.min_excess_frac);
+  m->Set("obs.autopsy.min_excess_us",
+         static_cast<int64_t>(o.obs.autopsy.min_excess_us));
+  m->Set("obs.autopsy.ring_pressure_threshold",
+         o.obs.autopsy.ring_pressure_threshold);
+}
+
+void SetStoreKeys(const StoreOptions& store, JournalManifest* m) {
+  m->Set("store.enabled", store.enabled());
+  m->Set("store.fsync", FsyncPolicyName(store.fsync));
+  m->Set("store.memory_budget_bytes",
+         static_cast<uint64_t>(store.memory_budget_bytes));
+  m->Set("store.retain_bytes", static_cast<uint64_t>(store.retain_bytes));
+  m->Set("store.retain_batches", store.retain_batches);
+}
+
+void SetIngestKeys(const IngestOptions& ingest, JournalManifest* m) {
+  m->Set("ingest.shards", static_cast<uint64_t>(ingest.shards));
+  m->Set("ingest.ring_capacity", static_cast<uint64_t>(ingest.ring_capacity));
+  m->Set("ingest.accumulator", AccumulatorKindName(ingest.accumulator));
+  m->Set("ingest.key_mode", KeyModeName(ingest.key_mode));
+  if (ingest.key_mode == KeyMode::kSketch) {
+    const SketchSettings& sketch = ingest.accumulator_options.sketch;
+    m->Set("ingest.sketch_capacity", static_cast<uint64_t>(sketch.capacity));
+    m->Set("ingest.tail_buckets", static_cast<uint64_t>(sketch.tail_buckets));
+  }
+}
+
+/// The single-query manifest (SingleOptionsFromManifest reads it back).
 JournalManifest BuildSingleManifest(const EngineOptions& o, const JobSpec& job,
                                     int32_t technique) {
   JournalManifest m;
@@ -41,14 +110,7 @@ JournalManifest BuildSingleManifest(const EngineOptions& o, const JobSpec& job,
   m.Set("early_release_frac", o.early_release_frac);
   m.Set("use_prompt_reduce", o.use_prompt_reduce);
   m.Set("unstable_queue_intervals", o.unstable_queue_intervals);
-  m.Set("cost.map_task_fixed_us", o.cost.map_task_fixed_us);
-  m.Set("cost.map_per_tuple_us", o.cost.map_per_tuple_us);
-  m.Set("cost.map_per_key_us", o.cost.map_per_key_us);
-  m.Set("cost.reduce_task_fixed_us", o.cost.reduce_task_fixed_us);
-  m.Set("cost.reduce_per_tuple_us", o.cost.reduce_per_tuple_us);
-  m.Set("cost.reduce_per_cluster_us", o.cost.reduce_per_cluster_us);
-  m.Set("cost.partition_cost_scale", o.cost.partition_cost_scale);
-  m.Set("cost.replicate_per_kib_us", o.cost.replicate_per_kib_us);
+  SetCostKeys(o.cost, &m);
   m.Set("elasticity_enabled", o.elasticity_enabled);
   m.Set("elasticity.threshold", o.elasticity.threshold);
   m.Set("elasticity.step", o.elasticity.step);
@@ -65,31 +127,9 @@ JournalManifest BuildSingleManifest(const EngineOptions& o, const JobSpec& job,
         static_cast<int64_t>(o.elasticity.trend_lookback));
   m.Set("adapt.enabled", o.adapt.enabled);
   m.Set("adapt.d", static_cast<int64_t>(o.adapt.d));
-  m.Set("adapt.grace", static_cast<int64_t>(o.adapt.grace));
-  m.Set("adapt.window", static_cast<uint64_t>(o.adapt.window));
-  m.Set("adapt.calm_block_load_ratio", o.adapt.calm_block_load_ratio);
-  m.Set("adapt.calm_split_key_frac", o.adapt.calm_split_key_frac);
-  {
-    std::string csv;
-    for (PartitionerType t : o.adapt.candidates) {
-      if (!csv.empty()) csv += ',';
-      csv += PartitionerTypeName(t);
-    }
-    m.Set("adapt.candidates", csv);
-  }
-  m.Set("partitioner.accumulator",
-        AccumulatorKindName(o.adapt.config.prompt.accumulator_kind));
-  m.Set("partitioner.post_sort", o.adapt.config.prompt.post_sort);
-  m.Set("partitioner.cam_candidates",
-        static_cast<uint64_t>(o.adapt.config.cam_candidates));
-  m.Set("partitioner.sketch_capacity",
-        static_cast<uint64_t>(o.adapt.config.sketch_capacity));
-  m.Set("obs.collect_partition_metrics", o.obs.collect_partition_metrics);
-  m.Set("obs.autopsy.min_excess_frac", o.obs.autopsy.min_excess_frac);
-  m.Set("obs.autopsy.min_excess_us",
-        static_cast<int64_t>(o.obs.autopsy.min_excess_us));
-  m.Set("obs.autopsy.ring_pressure_threshold",
-        o.obs.autopsy.ring_pressure_threshold);
+  SetAdaptThresholdKeys(o.adapt, &m);
+  m.Set("adapt.candidates", CandidatesCsv(o.adapt.candidates));
+  SetPartitionerAndObsKeys(o, &m);
   if (o.faults.enabled()) {
     m.Set("faults", FormatFaultSchedule(o.faults));
     // Policy knobs the spec grammar cannot express.
@@ -107,12 +147,7 @@ JournalManifest BuildSingleManifest(const EngineOptions& o, const JobSpec& job,
   m.Set("cluster.replication_factor",
         static_cast<uint64_t>(o.cluster.replication_factor));
   m.Set("cluster.remote_read_penalty", o.cluster.remote_read_penalty);
-  m.Set("store.enabled", o.store.enabled());
-  m.Set("store.fsync", FsyncPolicyName(o.store.fsync));
-  m.Set("store.memory_budget_bytes",
-        static_cast<uint64_t>(o.store.memory_budget_bytes));
-  m.Set("store.retain_bytes", static_cast<uint64_t>(o.store.retain_bytes));
-  m.Set("store.retain_batches", o.store.retain_batches);
+  SetStoreKeys(o.store, &m);
   m.Set("batch_resizing_enabled", o.batch_resizing_enabled);
   m.Set("resizer.min_interval",
         static_cast<int64_t>(o.batch_resizer.min_interval));
@@ -121,19 +156,34 @@ JournalManifest BuildSingleManifest(const EngineOptions& o, const JobSpec& job,
   m.Set("resizer.target_ratio", o.batch_resizer.target_ratio);
   m.Set("resizer.lookback", static_cast<int64_t>(o.batch_resizer.lookback));
   m.Set("resizer.gain", o.batch_resizer.gain);
-  m.Set("ingest.shards", static_cast<uint64_t>(o.ingest.shards));
-  m.Set("ingest.ring_capacity",
-        static_cast<uint64_t>(o.ingest.ring_capacity));
-  m.Set("ingest.accumulator", AccumulatorKindName(o.ingest.accumulator));
-  m.Set("ingest.key_mode", KeyModeName(o.ingest.key_mode));
-  if (o.ingest.key_mode == KeyMode::kSketch) {
-    m.Set("ingest.sketch_capacity",
-          static_cast<uint64_t>(
-              o.ingest.accumulator_options.sketch.capacity));
-    m.Set("ingest.tail_buckets",
-          static_cast<uint64_t>(
-              o.ingest.accumulator_options.sketch.tail_buckets));
-  }
+  SetIngestKeys(o.ingest, &m);
+  return m;
+}
+
+/// The tenant-mode manifest (MultiOptionsFromManifest reads it back; the
+/// tenant= lines are the specs' text form, which SpecsFromManifest parses):
+/// total_slots is the core pool the scheduler divides, the adaptive
+/// template is the adapt block.
+JournalManifest BuildMultiManifest(const EngineOptions& o,
+                                   const std::vector<std::string>& tenants) {
+  JournalManifest m;
+  m.Set("format", "prompt-journal-v1");
+  m.Set("mode", "multi");
+  m.Set("batch_interval", static_cast<int64_t>(o.batch_interval));
+  m.Set("total_slots", static_cast<uint64_t>(o.cores));
+  m.Set("map_tasks", static_cast<uint64_t>(o.map_tasks));
+  m.Set("reduce_tasks", static_cast<uint64_t>(o.reduce_tasks));
+  m.Set("exec_mode", o.mode == ExecutionMode::kReal ? "real" : "simulated");
+  m.Set("use_prompt_reduce", o.use_prompt_reduce);
+  m.Set("early_release_frac", o.early_release_frac);
+  m.Set("unstable_queue_intervals", o.unstable_queue_intervals);
+  SetCostKeys(o.cost, &m);
+  m.Set("adapt.candidates", CandidatesCsv(o.adapt.candidates));
+  SetAdaptThresholdKeys(o.adapt, &m);
+  SetPartitionerAndObsKeys(o, &m);
+  SetStoreKeys(o.store, &m);
+  SetIngestKeys(o.ingest, &m);
+  for (const std::string& tenant : tenants) m.Set("tenant", tenant);
   return m;
 }
 
@@ -158,8 +208,7 @@ double RunSummary::MeanThroughputTuplesPerSec(TimeMicros interval,
   return static_cast<double>(tuples) / seconds;
 }
 
-/// The per-query slice of the engine options (QueryContext construction).
-static QueryContextOptions QueryOptionsFrom(const EngineOptions& options) {
+QueryContextOptions QueryOptionsFrom(const EngineOptions& options) {
   QueryContextOptions qc;
   qc.map_tasks = options.map_tasks;
   qc.reduce_tasks = options.reduce_tasks;
@@ -177,11 +226,32 @@ static QueryContextOptions QueryOptionsFrom(const EngineOptions& options) {
 MicroBatchEngine::MicroBatchEngine(EngineOptions options, JobSpec job,
                                    std::unique_ptr<BatchPartitioner> partitioner,
                                    TupleSource* source)
-    : options_(options), job_(std::move(job)), source_(source) {
-  PROMPT_CHECK(partitioner != nullptr);
+    : MicroBatchEngine(
+          options,
+          [&] {
+            std::vector<QuerySpec> queries(1);
+            queries[0].id = "default";
+            queries[0].options = QueryOptionsFrom(options);
+            queries[0].job = std::move(job);
+            queries[0].partitioner = std::move(partitioner);
+            return queries;
+          }(),
+          /*scheduler=*/nullptr, source) {}
+
+MicroBatchEngine::MicroBatchEngine(EngineOptions options,
+                                   std::vector<QuerySpec> queries,
+                                   std::unique_ptr<TenantScheduler> scheduler,
+                                   TupleSource* source)
+    : options_(std::move(options)),
+      source_(source),
+      scheduler_(std::move(scheduler)) {
   PROMPT_CHECK(source_ != nullptr);
+  PROMPT_CHECK(!queries.empty());
   PROMPT_CHECK(options_.batch_interval > 0);
-  if (options_.adapt.enabled) {
+  const bool tenant_mode = scheduler_ != nullptr;
+  if (std::any_of(queries.begin(), queries.end(), [](const QuerySpec& q) {
+        return q.options.adapt.enabled;
+      })) {
     // The controller's calm test reads block-load and split-key signals, so
     // the partition-metrics pass must run regardless of what the caller set.
     options_.obs.collect_partition_metrics = true;
@@ -191,16 +261,47 @@ MicroBatchEngine::MicroBatchEngine(EngineOptions options, JobSpec job,
     PROMPT_LOG(kWarn) << "observability sink setup failed: "
                       << obs_->init_status().ToString();
   }
-  // The single-tenant fast path: all per-query state (partitioner, window,
-  // controllers, estimates) lives in one QueryContext the run loop drives.
-  query_ = std::make_unique<QueryContext>(
-      /*id=*/"default", QueryOptionsFrom(options_), job_,
-      std::move(partitioner), obs_->registry());
+  // Per-tenant time-series geometry mirrors what Observability derives for
+  // its (shared) default store.
+  TimeSeriesOptions ts;
+  ts.capacity = options_.obs.timeseries_capacity;
+  if (options_.obs.serve_port >= 0 && ts.capacity == 0) ts.capacity = 1024;
+  ts.window = options_.obs.timeseries_window;
+  ts.ewma_alpha = options_.obs.timeseries_alpha;
+  MetricsRegistry* registry = obs_->registry();
+  std::vector<std::string> spec_lines;
+  for (QuerySpec& spec : queries) {
+    spec_lines.push_back(std::move(spec.spec_line));
+    Query q;
+    q.filter = spec.filter;
+    q.ctx = std::make_unique<QueryContext>(
+        spec.id, spec.options, std::move(spec.job), std::move(spec.partitioner),
+        registry,
+        tenant_mode ? MetricLabels{{"tenant", spec.id}} : MetricLabels{});
+    if (tenant_mode && ts.capacity > 0) {
+      q.ctx->timeseries = std::make_unique<TimeSeriesStore>(ts);
+      if (obs_->exporter() != nullptr) {
+        obs_->exporter()->AddTimeSeries(spec.id, q.ctx->timeseries.get());
+      }
+    }
+    if (tenant_mode && registry != nullptr) {
+      const MetricLabels labels{{"tenant", spec.id}};
+      q.batches_total = registry->GetCounter("prompt_batches_total", labels);
+      q.tuples_total = registry->GetCounter("prompt_tuples_total", labels);
+      q.latency_us = registry->GetHistogram("prompt_batch_latency_us", labels);
+      q.slots_gauge = registry->GetGauge("prompt_tenant_slots", labels);
+      q.w_gauge = registry->GetGauge("prompt_batch_w", labels);
+    }
+    queries_.push_back(std::move(q));
+  }
+  query_ = queries_[0].ctx.get();
   if (options_.mode == ExecutionMode::kReal) {
     pool_ = std::make_unique<ThreadPool>(options_.cores);
   }
-  if (options_.store.enabled()) {
+  if (options_.store.enabled() && !tenant_mode) {
     // The durable tier backs the §8 BatchStore; no store without a cluster.
+    // (Tenants log straight to the durable store, one owner namespace per
+    // query.)
     options_.cluster_enabled = true;
   }
   if (options_.cluster_enabled) {
@@ -211,8 +312,8 @@ MicroBatchEngine::MicroBatchEngine(EngineOptions options, JobSpec job,
     auto durable = DurableBlockStore::Open(options_.store);
     if (durable.ok()) {
       durable_ = std::move(durable).ValueUnsafe();
-      durable_->BindMetrics(obs_->registry());
-      store_->AttachDurable(durable_.get(), /*owner=*/0);
+      durable_->BindMetrics(registry);
+      if (store_ != nullptr) store_->AttachDurable(durable_.get(), /*owner=*/0);
       RecoverFromDurableStore();
     } else {
       // Durability was explicitly requested; running memory-only behind the
@@ -246,12 +347,16 @@ MicroBatchEngine::MicroBatchEngine(EngineOptions options, JobSpec job,
   if (options_.ingest.shards > 1 ||
       options_.ingest.key_mode == KeyMode::kSketch) {
     ingest_ = std::make_unique<ParallelIngestPipeline>(options_.ingest);
-    ingest_->BindMetrics(obs_->registry());
+    ingest_->BindMetrics(registry);
   }
-  if (options_.journal.enabled()) {
+  // Opened last, and only on an otherwise healthy construction, so a failed
+  // store never leaves a stray journal behind.
+  if (options_.journal.enabled() && init_status_.ok()) {
     auto journal = JournalWriter::Open(
         options_.journal,
-        BuildSingleManifest(options_, job_, query_->current_technique));
+        tenant_mode ? BuildMultiManifest(options_, spec_lines)
+                    : BuildSingleManifest(options_, query_->job,
+                                          query_->current_technique));
     if (journal.ok()) {
       journal_ = std::move(journal).ValueUnsafe();
     } else {
@@ -262,7 +367,7 @@ MicroBatchEngine::MicroBatchEngine(EngineOptions options, JobSpec job,
           "journal " + options_.journal.dir + " cannot be opened: " +
           journal.status().ToString());
       PROMPT_LOG(kError) << failed.ToString();
-      if (init_status_.ok()) init_status_ = failed;
+      init_status_ = failed;
     }
   }
 }
@@ -276,53 +381,56 @@ void MicroBatchEngine::RecoverFromDurableStore() {
   // report it as loss, never paper over it with a fabricated batch.
   durable_recovery_.data_loss = scan.torn_records > 0;
 
-  const uint32_t cores =
-      std::max<uint32_t>(1, cluster_->total_alive_cores());
-  for (uint64_t id : durable_->LiveBatches(/*owner=*/0)) {
-    Result<std::string> bytes = durable_->Get(/*owner=*/0, id);
-    if (!bytes.ok()) {
-      PROMPT_LOG(kWarn) << "recovery: cannot read batch " << id << ": "
-                        << bytes.status().ToString();
-      durable_recovery_.data_loss = true;
-      continue;
+  const uint32_t cores = AvailableCores();
+  for (uint32_t owner = 0; owner < queries_.size(); ++owner) {
+    QueryContext& ctx = *queries_[owner].ctx;
+    for (uint64_t id : durable_->LiveBatches(owner)) {
+      Result<std::string> bytes = durable_->Get(owner, id);
+      Result<PartitionedBatch> decoded =
+          bytes.ok() ? DecodeBatch(*bytes)
+                     : Result<PartitionedBatch>(bytes.status());
+      if (!decoded.ok()) {
+        PROMPT_LOG(kWarn) << "recovery: query " << ctx.id()
+                          << ": cannot recover batch " << id << ": "
+                          << decoded.status().ToString();
+        durable_recovery_.data_loss = true;
+        continue;
+      }
+      PartitionedBatch batch = std::move(decoded).ValueUnsafe();
+      // Deterministic re-execution: partitioned input + the same reduce
+      // logic give bit-identical per-key aggregates, so the recovered window
+      // equals an uninterrupted run over the surviving batches.
+      BatchExecution exec =
+          ctx.executor->Execute(batch, ctx.reduce_tasks, cores, pool_.get());
+      ctx.window->AddBatch(std::move(exec.output));
+      if (store_ != nullptr) {
+        // Memory-tier placement only — the log already holds this batch,
+        // and re-appending on every restart would grow the segments
+        // without bound.
+        if (Result<uint32_t> placed = store_->Restore(batch); !placed.ok()) {
+          PROMPT_LOG(kWarn) << "recovery: replica placement for batch " << id
+                            << " failed: " << placed.status().ToString();
+        }
+        ctx.window_state_nodes.push_back(
+            QueryContext::WindowReplica{id, PickStateNode(id)});
+        while (ctx.window_state_nodes.size() > ctx.window->depth()) {
+          ctx.window_state_nodes.pop_front();
+        }
+      }
+      ++durable_recovery_.batches_recovered;
+      durable_recovery_.first_recovered_batch =
+          std::min(durable_recovery_.first_recovered_batch, id);
+      durable_recovery_.last_recovered_batch =
+          std::max(durable_recovery_.last_recovered_batch, id);
     }
-    Result<PartitionedBatch> decoded = DecodeBatch(*bytes);
-    if (!decoded.ok()) {
-      PROMPT_LOG(kWarn) << "recovery: cannot decode batch " << id << ": "
-                        << decoded.status().ToString();
-      durable_recovery_.data_loss = true;
-      continue;
-    }
-    PartitionedBatch batch = std::move(decoded).ValueUnsafe();
-    // Deterministic re-execution: partitioned input + the same reduce logic
-    // give bit-identical per-key aggregates, so the recovered window equals
-    // an uninterrupted run over the surviving batches.
-    BatchExecution exec = query_->executor->Execute(
-        batch, query_->reduce_tasks, cores, pool_.get());
-    query_->window->AddBatch(std::move(exec.output));
-    // Memory-tier placement only — the log already holds this batch, and
-    // re-appending on every restart would grow the segments without bound.
-    if (Result<uint32_t> placed = store_->Restore(batch); !placed.ok()) {
-      PROMPT_LOG(kWarn) << "recovery: replica placement for batch " << id
-                        << " failed: " << placed.status().ToString();
-    }
-    query_->window_state_nodes.push_back(
-        QueryContext::WindowReplica{id, PickStateNode(id)});
-    while (query_->window_state_nodes.size() > query_->window->depth()) {
-      query_->window_state_nodes.pop_front();
-    }
-    ++durable_recovery_.batches_recovered;
-    durable_recovery_.first_recovered_batch =
-        std::min(durable_recovery_.first_recovered_batch, id);
-    durable_recovery_.last_recovered_batch =
-        std::max(durable_recovery_.last_recovered_batch, id);
-    query_->next_batch_id = std::max(query_->next_batch_id, id + 1);
   }
   if (durable_recovery_.batches_recovered > 0) {
-    // Resume the virtual clock where the crashed run's batching left off.
+    // Every query rides one heartbeat clock: resume it, and every query's
+    // batch ids, past the newest recovered batch anywhere in the log.
+    const uint64_t next = durable_recovery_.last_recovered_batch + 1;
+    for (Query& q : queries_) q.ctx->next_batch_id = next;
     next_batch_start_ =
-        static_cast<TimeMicros>(durable_recovery_.last_recovered_batch + 1) *
-        options_.batch_interval;
+        static_cast<TimeMicros>(next) * options_.batch_interval;
     PROMPT_LOG(kInfo) << "recovered " << durable_recovery_.batches_recovered
                       << " batch(es) [" << durable_recovery_.first_recovered_batch
                       << ".." << durable_recovery_.last_recovered_batch
@@ -333,18 +441,22 @@ void MicroBatchEngine::RecoverFromDurableStore() {
   }
 }
 
-BatchReport MicroBatchEngine::ProcessBatch(PartitionedBatch batch,
-                                           TimeMicros interval) {
+BatchReport MicroBatchEngine::ProcessBatch(size_t query,
+                                           PartitionedBatch batch,
+                                           TimeMicros interval,
+                                           uint32_t slots) {
+  QueryContext& ctx = *queries_[query].ctx;
+  const uint32_t owner = static_cast<uint32_t>(query);
   BatchReport report;
   report.batch_id = batch.batch_id;
   report.batch_interval = interval;
   report.num_tuples = batch.num_tuples;
   report.num_keys = batch.num_keys;
   report.map_tasks = static_cast<uint32_t>(batch.blocks.size());
-  report.reduce_tasks = query_->reduce_tasks;
+  report.reduce_tasks = ctx.reduce_tasks;
   report.partition_cost = batch.partition_cost;
   report.sketch = batch.sketch;
-  query_->MarkTechnique(&report);
+  ctx.MarkTechnique(&report);
 
   // Early Batch Release (§4.2): the partitioner worked during the slack
   // before the heartbeat; only the excess delays processing.
@@ -380,6 +492,14 @@ BatchReport MicroBatchEngine::ProcessBatch(PartitionedBatch batch,
     // (a later top-up in this same batch refreshes the field).
     report.under_replicated_batches =
         store_->UnderReplicatedCount(options_.cluster.replication_factor);
+  } else if (durable_ != nullptr) {
+    // Tenant mode has no cluster tier: the sealed batch goes straight to
+    // the log, namespaced by query index.
+    if (Status st = durable_->Put(owner, batch.batch_id, EncodeBatch(batch));
+        !st.ok()) {
+      PROMPT_LOG(kWarn) << "query " << ctx.id()
+                        << ": durable append failed: " << st.ToString();
+    }
   }
 
   // Failure-detection point 1: the batch boundary. Manual KillNode calls
@@ -391,16 +511,16 @@ BatchReport MicroBatchEngine::ProcessBatch(PartitionedBatch batch,
   PollFaults(batch.batch_id, FaultPoint::kBatchStart, &report);
   if (crashed_) return report;  // the process died before any stage ran
 
-  const uint32_t cluster_cores =
-      cluster_ != nullptr ? std::max<uint32_t>(1, cluster_->total_alive_cores())
-                          : options_.cores;
+  // The query's cores: its weighted-fair grant in tenant mode, else every
+  // alive core (read after the batch-start poll, which may kill nodes).
+  const uint32_t cores = scheduler_ != nullptr ? slots : AvailableCores();
   const uint32_t map_cores =
       options_.cores_track_tasks
           ? std::max<uint32_t>(1, static_cast<uint32_t>(batch.blocks.size()))
-          : cluster_cores;
+          : cores;
   const uint32_t reduce_cores =
-      options_.cores_track_tasks ? std::max<uint32_t>(1, query_->reduce_tasks)
-                                 : cluster_cores;
+      options_.cores_track_tasks ? std::max<uint32_t>(1, ctx.reduce_tasks)
+                                 : cores;
 
   // Execute both stages (scheduler uses the smaller of the two core counts
   // internally per stage via two calls).
@@ -409,7 +529,7 @@ BatchReport MicroBatchEngine::ProcessBatch(PartitionedBatch batch,
     // BatchExecutor schedules each stage with one core count; when the two
     // differ (elasticity), run it with map cores and rescale the reduce
     // stage below.
-    exec = query_->executor->Execute(batch, query_->reduce_tasks, map_cores, pool_.get());
+    exec = ctx.executor->Execute(batch, ctx.reduce_tasks, map_cores, pool_.get());
     if (reduce_cores != map_cores) {
       StageSchedule rs = ScheduleStage(exec.reduce_task_costs, reduce_cores);
       exec.reduce_makespan = rs.makespan;
@@ -489,7 +609,7 @@ BatchReport MicroBatchEngine::ProcessBatch(PartitionedBatch batch,
   // time the way consecutive Spark jobs on one context would.
   for (ExtraQuery& extra : extra_queries_) {
     BatchExecution extra_exec =
-        extra.executor->Execute(batch, query_->reduce_tasks, map_cores, pool_.get());
+        extra.executor->Execute(batch, ctx.reduce_tasks, map_cores, pool_.get());
     report.processing_time +=
         extra_exec.map_makespan + extra_exec.reduce_makespan;
     extra.window->AddBatch(std::move(extra_exec.output));
@@ -500,13 +620,21 @@ BatchReport MicroBatchEngine::ProcessBatch(PartitionedBatch batch,
   }
 
   if (options_.replicate_input) {
-    query_->last_replica = std::make_unique<PartitionedBatch>(batch);
-    query_->last_output = exec.output;
+    ctx.last_replica = std::make_unique<PartitionedBatch>(batch);
+    ctx.last_output = exec.output;
   }
-  if (store_ != nullptr && batch.batch_id >= job_.window_batches) {
+  if (batch.batch_id >= ctx.job.window_batches) {
     // §8 GC rule: a batch expiring from the window can never be replayed
-    // again, so its replicas are dropped.
-    store_->Evict(batch.batch_id - job_.window_batches);
+    // again, so its replicas and its log record are dropped.
+    const uint64_t expired = batch.batch_id - ctx.job.window_batches;
+    if (store_ != nullptr) {
+      store_->Evict(expired);
+    } else if (durable_ != nullptr) {
+      if (Status st = durable_->Evict(owner, expired); !st.ok()) {
+        PROMPT_LOG(kWarn) << "query " << ctx.id()
+                          << ": durable evict failed: " << st.ToString();
+      }
+    }
   }
   if (journal_ != nullptr) {
     // Commutative hash of the per-key window contribution, taken at the
@@ -514,22 +642,14 @@ BatchReport MicroBatchEngine::ProcessBatch(PartitionedBatch batch,
     // window aggregates between record and replay.
     report.output_hash = HashBatchOutput(exec.output);
   }
-  query_->window->AddBatch(std::move(exec.output));
+  ctx.window->AddBatch(std::move(exec.output));
   if (cluster_ != nullptr) {
     // Track which node hosts this batch's reduce-bucket state, mirroring the
     // window's retained history: losing that node later triggers a replay.
-    query_->window_state_nodes.push_back(QueryContext::WindowReplica{
+    ctx.window_state_nodes.push_back(QueryContext::WindowReplica{
         batch.batch_id, PickStateNode(batch.batch_id)});
-    while (query_->window_state_nodes.size() > query_->window->depth()) {
-      query_->window_state_nodes.pop_front();
-    }
-  }
-  if (durable_ != nullptr && options_.store.fsync == FsyncPolicy::kBatch) {
-    // The kBatch durability point: everything up to and including this
-    // batch is on disk once this returns; a crash before it loses only the
-    // current batch's (torn) append.
-    if (Status st = durable_->Sync(); !st.ok()) {
-      PROMPT_LOG(kWarn) << "durable sync failed: " << st.ToString();
+    while (ctx.window_state_nodes.size() > ctx.window->depth()) {
+      ctx.window_state_nodes.pop_front();
     }
   }
   return report;
@@ -572,11 +692,7 @@ Status MicroBatchEngine::KillNode(uint32_t node) {
 Status MicroBatchEngine::ReviveNode(uint32_t node) {
   if (cluster_ == nullptr) return Status::Invalid("cluster mode disabled");
   PROMPT_RETURN_NOT_OK(cluster_->ReviveNode(node));
-  if (query_->elastic != nullptr) {
-    query_->elastic->OnCapacityChange(cluster_->total_alive_cores());
-    query_->map_tasks = query_->elastic->map_tasks();
-    query_->reduce_tasks = query_->elastic->reduce_tasks();
-  }
+  FeedCapacityToElastic();
   return Status::OK();
 }
 
@@ -649,11 +765,7 @@ bool MicroBatchEngine::PollFaults(uint64_t batch_id, FaultPoint point,
       // controller may scale out again) and the extra room lets the store
       // restore the replication factor.
       TopUpStoreReplication(report);
-      if (query_->elastic != nullptr) {
-        query_->elastic->OnCapacityChange(cluster_->total_alive_cores());
-        query_->map_tasks = query_->elastic->map_tasks();
-        query_->reduce_tasks = query_->elastic->reduce_tasks();
-      }
+      FeedCapacityToElastic();
     }
   }
   return killed;
@@ -685,11 +797,14 @@ void MicroBatchEngine::RecoverFromNodeLoss(uint32_t node, BatchReport* report) {
   TopUpStoreReplication(report);
   // Alg. 4 capacity feed: the controller sees the reduced cluster now, not
   // d batches of degraded W later.
-  if (query_->elastic != nullptr) {
-    query_->elastic->OnCapacityChange(cluster_->total_alive_cores());
-    query_->map_tasks = query_->elastic->map_tasks();
-    query_->reduce_tasks = query_->elastic->reduce_tasks();
-  }
+  FeedCapacityToElastic();
+}
+
+void MicroBatchEngine::FeedCapacityToElastic() {
+  if (query_->elastic == nullptr) return;
+  query_->elastic->OnCapacityChange(cluster_->total_alive_cores());
+  query_->map_tasks = query_->elastic->map_tasks();
+  query_->reduce_tasks = query_->elastic->reduce_tasks();
 }
 
 Result<BatchExecution> MicroBatchEngine::ReplayBatchFromStore(
@@ -698,7 +813,7 @@ Result<BatchExecution> MicroBatchEngine::ReplayBatchFromStore(
   PROMPT_ASSIGN_OR_RETURN(PartitionedBatch replica, store_->Read(batch_id));
   // Alg. 2-flavoured re-plan: the replica's block count assumed the original
   // cluster; repack to at most the cores that survive.
-  const uint32_t cores = std::max<uint32_t>(1, cluster_->total_alive_cores());
+  const uint32_t cores = AvailableCores();
   RepackBlocks(&replica, cores);
   BatchExecution redo =
       query_->executor->Execute(replica, query_->reduce_tasks, cores, pool_.get());
@@ -758,251 +873,327 @@ Result<std::vector<KV>> MicroBatchEngine::RecomputeBatchFromStore(
   if (store_ == nullptr) return Status::Invalid("cluster mode disabled");
   PROMPT_ASSIGN_OR_RETURN(PartitionedBatch batch, store_->Read(batch_id));
   BatchExecution redo = query_->executor->Execute(
-      batch, query_->reduce_tasks,
-      std::max<uint32_t>(1, cluster_->total_alive_cores()), pool_.get());
+      batch, query_->reduce_tasks, AvailableCores(), pool_.get());
   return std::move(redo.output);
 }
 
 RunSummary MicroBatchEngine::Run(uint32_t num_batches) {
+  return std::move(RunQueries(num_batches)[0].summary);
+}
+
+std::vector<TenantRunResult> MicroBatchEngine::RunQueries(
+    uint32_t num_batches) {
   run_started_ = true;
-  RunSummary summary;
-  if (crashed_) {
-    summary.crashed = true;
-    summary.crashed_at_batch = crashed_at_batch_;
-    return summary;
+  std::vector<TenantRunResult> results(queries_.size());
+  for (size_t qi = 0; qi < queries_.size(); ++qi) {
+    results[qi].id = queries_[qi].ctx->id();
+    results[qi].summary.batches.reserve(num_batches);
   }
-  summary.batches.reserve(num_batches);
-  const bool observe = obs_->active();
+  // A crashed engine refuses to run: no heartbeats, no run callbacks.
+  const bool observe = !crashed_ && obs_->active();
   if (observe) obs_->OnRunStart(num_batches);
 
-  for (uint32_t i = 0; i < num_batches; ++i) {
+  for (uint32_t i = 0; i < num_batches && !crashed_; ++i) {
     const TimeMicros interval = current_interval_;
     const TimeMicros start = next_batch_start_;
     const TimeMicros end = start + interval;
     next_batch_start_ = end;
 
-    // --- Batching phase: accumulate this interval's tuples. ---
-    query_->partitioner->Begin(query_->map_tasks, start, end);
+    // Weighted-fair slot shares for this heartbeat — decided before any
+    // data is seen, from weights alone (demand can't shift shares).
+    const std::vector<uint32_t> slots =
+        scheduler_ != nullptr ? scheduler_->AllocateSlots()
+                              : std::vector<uint32_t>(queries_.size(), 0);
+
+    // --- Batching phase: one drain of the shared source, routed. ---
+    for (Query& q : queries_) {
+      q.ctx->partitioner->Begin(q.ctx->map_tasks, start, end);
+    }
     if (ingest_ != nullptr) ingest_->BeginBatch(start, end);
-    auto sink = [&](const Tuple& t) {
+    auto drain = [&](auto&& route) {
       // The flight-recorder tap: every consumed tuple, in consumption
-      // order, before shard routing — replay re-forms identical batches
-      // from `ts < end` at any shard count.
-      if (journal_ != nullptr) journal_->RecordTuple(t);
-      if (ingest_ != nullptr) {
-        ingest_->Ingest(t);
-      } else {
-        query_->partitioner->OnTuple(t);
+      // order, before routing — replay re-forms identical batches from
+      // `ts < end` at any shard count, and re-derives every query's slice.
+      auto sink = [&](const Tuple& t) {
+        if (journal_ != nullptr) journal_->RecordTuple(t);
+        route(t);
+      };
+      if (have_pending_ && pending_.ts < end) {
+        sink(pending_);
+        have_pending_ = false;
+      }
+      if (!have_pending_) {
+        Tuple t;
+        while (source_->Next(&t)) {
+          if (t.ts >= end) {
+            pending_ = t;
+            have_pending_ = true;
+            break;
+          }
+          sink(t);
+        }
       }
     };
-    if (have_pending_ && pending_.ts < end) {
-      sink(pending_);
-      have_pending_ = false;
-    }
-    if (!have_pending_) {
-      Tuple t;
-      while (source_->Next(&t)) {
-        if (t.ts >= end) {
-          pending_ = t;
-          have_pending_ = true;
-          break;
-        }
-        sink(t);
-      }
-    }
-
-    PartitionedBatch batch;
     if (ingest_ != nullptr) {
-      const AccumulatedBatch& merged = ingest_->SealBatch();
-      if (!query_->partitioner->SealAccumulated(merged, query_->next_batch_id, &batch)) {
-        // No quasi-sorted fast path: replay the merged batch through the
-        // per-tuple interface in quasi-sorted order.
-        for (const SortedKeyRun& run : merged.keys()) {
-          merged.ForEachTuple(run, 0, run.count,
-                              [&](const Tuple& t) { query_->partitioner->OnTuple(t); });
-        }
-        // Sketch mode keeps tail tuples outside the run list — replay them
-        // too, or never-promoted keys silently vanish from the batch.
-        for (const TailBucket& bucket : merged.tail()) {
-          merged.ForEachTailTuple(bucket, [&](const Tuple& t) {
-            query_->partitioner->OnTuple(t);
-          });
-        }
-        batch = query_->partitioner->Seal(query_->next_batch_id);
-      }
-      ++query_->next_batch_id;
-      // The merge runs in the release slack alongside Alg. 2, on the same
-      // critical path toward the heartbeat — account it as decision cost.
-      batch.partition_cost += ingest_->last_metrics().merge_latency;
+      drain([this](const Tuple& t) { ingest_->Ingest(t); });
+    } else if (queries_.size() == 1 &&
+               queries_[0].filter.kind == KeyFilter::Kind::kAll) {
+      BatchPartitioner* partitioner = query_->partitioner.get();
+      drain([partitioner](const Tuple& t) { partitioner->OnTuple(t); });
     } else {
-      batch = query_->partitioner->Seal(query_->next_batch_id++);
+      drain([this](const Tuple& t) {
+        for (Query& q : queries_) {
+          if (q.filter.Matches(t.key)) q.ctx->partitioner->OnTuple(t);
+        }
+      });
     }
-
-    // Flight recorder: journal the sealed batch's tuples and wall-clock
-    // inputs *before* processing, so a crashed batch's stream is on record;
-    // under --replay the recorded inputs are injected here instead.
-    const BatchEnv batch_env = SettleBatchEnv(
-        options_.journal.inject, /*owner=*/0, &batch,
-        ingest_ != nullptr ? &ingest_->last_metrics() : nullptr);
+    const AccumulatedBatch* merged =
+        ingest_ != nullptr ? &ingest_->SealBatch() : nullptr;
     if (journal_ != nullptr) {
-      if (Status st = journal_->AppendBatchTuples(batch.batch_id); !st.ok()) {
+      // One tuple record per heartbeat, stamped with the shared batch id
+      // (every query's next_batch_id agrees — they ride one clock).
+      if (Status st = journal_->AppendBatchTuples(query_->next_batch_id);
+          !st.ok()) {
         PROMPT_LOG(kWarn) << "journal: tuple append failed: " << st.ToString();
       }
-      if (Status st = journal_->AppendEnv(0, batch_env); !st.ok()) {
-        PROMPT_LOG(kWarn) << "journal: env append failed: " << st.ToString();
-      }
     }
 
-    // --- Processing phase: starts at the heartbeat, or when the pipeline
-    // frees if earlier batches are still running (queueing). ---
-    const TimeMicros proc_start = std::max(end, query_->pipeline_free_at);
-    BatchReport report = ProcessBatch(std::move(batch), interval);
-    if (crashed_) {
-      // The process died inside this batch: its report is never published
-      // (no window contribution, no feedback) — exactly what an external
-      // SIGKILL leaves behind.
-      summary.crashed = true;
-      summary.crashed_at_batch = crashed_at_batch_;
-      // The journal is the observer of the crash, not its victim: flush so
-      // the crashed batch's tuples (already appended above) survive for
-      // replay. An external SIGKILL would lose the unsynced tail instead —
-      // and replay then runs exactly the published batches, consistently.
-      if (journal_ != nullptr) {
-        if (Status st = journal_->Sync(); !st.ok()) {
-          PROMPT_LOG(kWarn) << "journal: crash flush failed: " << st.ToString();
-        }
-      }
-      break;
-    }
-    report.queue_delay = proc_start - end;
-    query_->pipeline_free_at = proc_start + report.processing_time;
-    report.latency = query_->pipeline_free_at - start;
-    if (ingest_ != nullptr) {
-      // Fold the batching phase's per-shard stats into the report; this
-      // embedded form is the only way callers see per-shard ingest state.
-      report.ingest = ingest_->last_metrics();
-      report.has_ingest = true;
-      InjectIngestEnv(options_.journal.inject, /*owner=*/0, batch_env,
-                      &report);
-    }
+    // --- Per-query seal + processing. ---
+    for (size_t qi = 0; qi < queries_.size(); ++qi) {
+      QueryContext& ctx = *queries_[qi].ctx;
+      TenantRunResult& result = results[qi];
+      RunSummary& summary = result.summary;
+      const uint32_t owner = static_cast<uint32_t>(qi);
 
-    // Fault-tolerance aggregates.
-    summary.batches_replayed += report.batches_replayed;
-    summary.tasks_retried += report.tasks_retried;
-    summary.tasks_speculated += report.tasks_speculated;
-    if (report.recovered_from_failure) ++summary.failures_recovered;
-    summary.total_recovery_time += report.recovery_time;
-    summary.max_recovery_time =
-        std::max(summary.max_recovery_time, report.recovery_time);
-    summary.data_loss |= report.unrecoverable;
-
-    // Stability accounting (back-pressure would engage past the bound).
-    if (static_cast<double>(report.queue_delay) >
-        options_.unstable_queue_intervals * static_cast<double>(interval)) {
-      summary.stable = false;
-      summary.unstable_at_batch =
-          std::min(summary.unstable_at_batch, report.batch_id);
-    }
-
-    // --- Feedback loops. ---
-    // Receiver estimates for Alg. 1 (N_est, K_avg).
-    query_->ObserveBatchEstimates(report.num_tuples, report.num_keys);
-    if (ingest_ != nullptr) {
-      ingest_->UpdateEstimates(static_cast<uint64_t>(query_->est_tuples),
-                               static_cast<uint64_t>(query_->est_keys));
-    }
-
-    // Batch resizing baseline [12]: step the next interval toward the
-    // fixed point processing_time = target * interval.
-    if (query_->resizer != nullptr) {
-      current_interval_ =
-          query_->resizer->OnBatchCompleted(interval, report.processing_time);
-    }
-
-    // Alg. 4 elasticity.
-    if (query_->elastic != nullptr) {
-      ScaleDecision d = query_->elastic->OnBatchCompleted(
-          report.w, report.num_tuples, report.num_keys);
-      (void)d;
-      query_->map_tasks = query_->elastic->map_tasks();
-      query_->reduce_tasks = query_->elastic->reduce_tasks();
-    }
-
-    if (observe) {
-      if (obs_->tracing_active()) {
-        RecordBatchTrace(report, interval, start);
-        obs_->OnBatchComplete(
-            report, obs_->recorder()->EndBatch(report.num_tuples,
-                                               report.num_keys,
-                                               report.latency));
+      PartitionedBatch batch;
+      if (merged != nullptr) {
+        batch = SealMerged(ctx.partitioner.get(), *merged, ctx.next_batch_id,
+                           queries_[qi].filter);
+        // The merge runs in the release slack alongside Alg. 2, on every
+        // query's critical path toward the heartbeat — account it as
+        // decision cost.
+        batch.partition_cost += ingest_->last_metrics().merge_latency;
       } else {
-        obs_->OnBatchComplete(report, BatchTrace{});
+        batch = ctx.partitioner->Seal(ctx.next_batch_id);
       }
-    }
+      ++ctx.next_batch_id;
 
-    // Telemetry → partitioning feedback (src/adapt/): the controller sees
-    // this batch's report and autopsy verdict; an approved switch is applied
-    // here — after Seal of this batch, before Begin of the next — so no
-    // in-flight batch ever mixes techniques.
-    if (query_->adapt != nullptr) {
-      const BatchAutopsy autopsy = ExplainBatch(report, options_.obs.autopsy);
-      const AdaptiveDecision decision =
-          query_->adapt->OnBatchCompleted(report, autopsy);
-      if (decision.switch_now) {
-        query_->ApplyTechniqueSwitch(decision);
-        summary.technique_switches.push_back(RunSummary::TechniqueSwitch{
-            report.batch_id, decision.from, decision.to, decision.reason});
-        if (std::string_view(decision.reason) == "skew") {
-          ++summary.technique_switches_up;
-        } else {
-          ++summary.technique_switches_down;
+      // Flight recorder: journal the sealed batch's wall-clock inputs
+      // *before* processing (settled after the merge-latency add, so the
+      // recorded partition_cost is the final value a replay must
+      // reproduce); under --replay the recorded inputs are injected here.
+      const BatchEnv batch_env = SettleBatchEnv(
+          options_.journal.inject, owner, &batch,
+          ingest_ != nullptr ? &ingest_->last_metrics() : nullptr);
+      if (journal_ != nullptr) {
+        if (Status st = journal_->AppendEnv(owner, batch_env); !st.ok()) {
+          PROMPT_LOG(kWarn) << "journal: env append failed: " << st.ToString();
         }
+      }
+
+      // --- Processing phase: starts at the heartbeat, or when this query's
+      // pipeline frees if its earlier batches are still running (queueing;
+      // one tenant's overflow queues behind its own slots only). ---
+      const TimeMicros proc_start = std::max(end, ctx.pipeline_free_at);
+      BatchReport report = ProcessBatch(qi, std::move(batch), interval,
+                                        slots[qi]);
+      if (crashed_) {
+        // The process died inside this batch: its report is never published
+        // (no window contribution, no feedback) — exactly what an external
+        // SIGKILL leaves behind. The journal is the observer of the crash,
+        // not its victim: flush so the crashed batch's tuples (already
+        // appended above) survive for replay. An external SIGKILL would
+        // lose the unsynced tail instead — and replay then runs exactly the
+        // published batches, consistently.
         if (journal_ != nullptr) {
-          JournalSwitch js;
-          js.owner = 0;
-          js.after_batch = report.batch_id;
-          js.from = static_cast<int32_t>(decision.from);
-          js.to = static_cast<int32_t>(decision.to);
-          js.reason = decision.reason;
-          if (Status st = journal_->AppendSwitch(js); !st.ok()) {
-            PROMPT_LOG(kWarn) << "journal: switch append failed: "
+          if (Status st = journal_->Sync(); !st.ok()) {
+            PROMPT_LOG(kWarn) << "journal: crash flush failed: "
                               << st.ToString();
           }
         }
+        break;
+      }
+      report.queue_delay = proc_start - end;
+      ctx.pipeline_free_at = proc_start + report.processing_time;
+      report.latency = ctx.pipeline_free_at - start;
+      if (ingest_ != nullptr) {
+        // Fold the batching phase's per-shard stats into the report; this
+        // embedded form is the only way callers see per-shard ingest state.
+        report.ingest = ingest_->last_metrics();
+        report.has_ingest = true;
+        InjectIngestEnv(options_.journal.inject, owner, batch_env, &report);
+      }
+
+      // Fault-tolerance aggregates.
+      summary.batches_replayed += report.batches_replayed;
+      summary.tasks_retried += report.tasks_retried;
+      summary.tasks_speculated += report.tasks_speculated;
+      if (report.recovered_from_failure) ++summary.failures_recovered;
+      summary.total_recovery_time += report.recovery_time;
+      summary.max_recovery_time =
+          std::max(summary.max_recovery_time, report.recovery_time);
+      summary.data_loss |= report.unrecoverable;
+
+      // Stability accounting (back-pressure would engage past the bound).
+      if (static_cast<double>(report.queue_delay) >
+          options_.unstable_queue_intervals * static_cast<double>(interval)) {
+        summary.stable = false;
+        summary.unstable_at_batch =
+            std::min(summary.unstable_at_batch, report.batch_id);
+      }
+
+      // --- Feedback loops. ---
+      // Receiver estimates for Alg. 1 (N_est, K_avg).
+      ctx.ObserveBatchEstimates(report.num_tuples, report.num_keys);
+
+      // Batch resizing baseline [12]: step the next interval toward the
+      // fixed point processing_time = target * interval.
+      if (ctx.resizer != nullptr) {
+        current_interval_ =
+            ctx.resizer->OnBatchCompleted(interval, report.processing_time);
+      }
+
+      // Alg. 4 elasticity.
+      if (ctx.elastic != nullptr) {
+        ctx.elastic->OnBatchCompleted(report.w, report.num_tuples,
+                                      report.num_keys);
+        ctx.map_tasks = ctx.elastic->map_tasks();
+        ctx.reduce_tasks = ctx.elastic->reduce_tasks();
+      }
+
+      // The batch's verdict feeds the tenant autopsy stream, the adaptive
+      // controller and the journal fingerprint. ExplainBatch is a pure
+      // function of the report, so it runs once, and only when one of them
+      // reads it.
+      BatchAutopsy autopsy;
+      if (scheduler_ != nullptr || ctx.adapt != nullptr || journal_ != nullptr) {
+        autopsy = ExplainBatch(report, options_.obs.autopsy);
+      }
+      PublishBatch(qi, report, autopsy, interval, start, slots[qi]);
+      if (scheduler_ != nullptr) {
+        result.causes.push_back(autopsy.dominant);
+        ++result.cause_counts[static_cast<size_t>(autopsy.dominant)];
+        result.slots_granted += slots[qi];
+      }
+
+      // Telemetry → partitioning feedback (src/adapt/): an approved switch
+      // is applied here — after Seal of this batch, before Begin of the
+      // next — so no in-flight batch ever mixes techniques.
+      if (ctx.adapt != nullptr) {
+        const AdaptiveDecision decision =
+            ctx.adapt->OnBatchCompleted(report, autopsy);
+        if (decision.switch_now) {
+          ctx.ApplyTechniqueSwitch(decision);
+          summary.technique_switches.push_back(RunSummary::TechniqueSwitch{
+              report.batch_id, decision.from, decision.to, decision.reason});
+          if (std::string_view(decision.reason) == "skew") {
+            ++summary.technique_switches_up;
+          } else {
+            ++summary.technique_switches_down;
+          }
+          if (journal_ != nullptr) {
+            JournalSwitch js;
+            js.owner = owner;
+            js.after_batch = report.batch_id;
+            js.from = static_cast<int32_t>(decision.from);
+            js.to = static_cast<int32_t>(decision.to);
+            js.reason = decision.reason;
+            if (Status st = journal_->AppendSwitch(js); !st.ok()) {
+              PROMPT_LOG(kWarn) << "journal: switch append failed: "
+                                << st.ToString();
+            }
+          }
+        }
+      }
+
+      if (journal_ != nullptr) {
+        // The published batch's fingerprint: signals, verdict, output hash.
+        if (Status st = journal_->AppendOutcome(owner,
+                                                OutcomeFrom(report, autopsy));
+            !st.ok()) {
+          PROMPT_LOG(kWarn) << "journal: outcome append failed: "
+                            << st.ToString();
+        }
+      }
+      summary.batches.push_back(std::move(report));
+    }
+    if (crashed_) break;
+
+    // Shared-ingest receiver feedback: the pipeline accumulates every
+    // query's tuples, so its Alg. 1 estimates track the merged totals.
+    if (ingest_ != nullptr) ingest_->ObserveSealedBatch();
+    if (durable_ != nullptr && options_.store.fsync == FsyncPolicy::kBatch) {
+      // The kBatch durability point: everything up to and including this
+      // heartbeat's batches is on disk once this returns; a crash before it
+      // loses only the current appends (torn).
+      if (Status st = durable_->Sync(); !st.ok()) {
+        PROMPT_LOG(kWarn) << "durable sync failed: " << st.ToString();
       }
     }
-
     if (journal_ != nullptr) {
-      // The published batch's fingerprint: signals, verdict, output hash.
-      // ExplainBatch is a pure function of the report, so this recompute
-      // costs nothing in determinism even when the adaptive path already
-      // ran it.
-      const BatchAutopsy autopsy = ExplainBatch(report, options_.obs.autopsy);
-      if (Status st = journal_->AppendOutcome(0, OutcomeFrom(report, autopsy));
-          !st.ok()) {
-        PROMPT_LOG(kWarn) << "journal: outcome append failed: "
-                          << st.ToString();
-      }
+      // Same cadence: one journal durability point per heartbeat.
       if (Status st = journal_->SyncBatch(); !st.ok()) {
         PROMPT_LOG(kWarn) << "journal: sync failed: " << st.ToString();
       }
     }
-
     if (HttpExporter* exporter = obs_->exporter(); exporter != nullptr) {
       HealthStatus health;
-      health.data_loss = durable_recovery_.data_loss || summary.data_loss;
+      health.data_loss = durable_recovery_.data_loss ||
+                         std::any_of(results.begin(), results.end(),
+                                     [](const TenantRunResult& r) {
+                                       return r.summary.data_loss;
+                                     });
       health.init_status =
           init_status_.ok() ? "ok" : init_status_.ToString();
-      health.last_batch_id = static_cast<int64_t>(report.batch_id);
+      health.last_batch_id = static_cast<int64_t>(query_->next_batch_id) - 1;
       health.journal_lag_bytes =
           journal_ != nullptr ? journal_->unsynced_bytes() : 0;
       exporter->UpdateHealth(health);
     }
-
-    summary.batches.push_back(report);
   }
   if (observe) obs_->OnRunEnd();
-  return summary;
+  if (crashed_) {
+    for (TenantRunResult& result : results) {
+      result.summary.crashed = true;
+      result.summary.crashed_at_batch = crashed_at_batch_;
+    }
+  }
+  return results;
+}
+
+void MicroBatchEngine::PublishBatch(size_t query, const BatchReport& report,
+                                    const BatchAutopsy& autopsy,
+                                    TimeMicros interval,
+                                    TimeMicros batch_start, uint32_t slots) {
+  if (scheduler_ == nullptr) {
+    if (!obs_->active()) return;
+    BatchTrace trace;
+    if (obs_->tracing_active()) {
+      RecordBatchTrace(report, interval, batch_start);
+      trace = obs_->recorder()->EndBatch(report.num_tuples, report.num_keys,
+                                         report.latency);
+    }
+    obs_->OnBatchComplete(report, trace);
+    return;
+  }
+  // Tenant mode: a tenant-labeled autopsy row (so the per-tenant streams
+  // stay separable in one JSONL file), time series and metrics.
+  const Query& q = queries_[query];
+  obs_->EmitAutopsy(autopsy, q.ctx->id());
+  if (q.ctx->timeseries != nullptr) q.ctx->timeseries->Observe(report);
+  if (q.batches_total != nullptr) {
+    q.batches_total->Increment();
+    q.tuples_total->Increment(report.num_tuples);
+    q.latency_us->Observe(static_cast<double>(report.latency));
+    q.slots_gauge->Set(slots);
+    q.w_gauge->Set(report.w);
+  }
+}
+
+uint32_t MicroBatchEngine::AvailableCores() const {
+  return cluster_ != nullptr
+             ? std::max<uint32_t>(1, cluster_->total_alive_cores())
+             : options_.cores;
 }
 
 void MicroBatchEngine::RecordBatchTrace(const BatchReport& report,
@@ -1095,11 +1286,9 @@ Status MicroBatchEngine::VerifyRecoveryOfLastBatch() {
   // path would after losing the batch's state (§8) — over the cores that
   // are actually alive now, not the configured total: recovery after a node
   // loss runs on the shrunken cluster.
-  const uint32_t recovery_cores =
-      cluster_ != nullptr ? std::max<uint32_t>(1, cluster_->total_alive_cores())
-                          : options_.cores;
-  BatchExecution redo = query_->executor->Execute(*query_->last_replica, query_->reduce_tasks,
-                                           recovery_cores, pool_.get());
+  BatchExecution redo = query_->executor->Execute(
+      *query_->last_replica, query_->reduce_tasks, AvailableCores(),
+      pool_.get());
   last_verify_recovery_cost_ = redo.map_makespan + redo.reduce_makespan;
   std::unordered_map<KeyId, double> original;
   for (const KV& kv : query_->last_output) original[kv.key] = kv.value;

@@ -3,9 +3,11 @@
 // techniques under test.
 #pragma once
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "adapt/adaptive_controller.h"
@@ -20,11 +22,14 @@
 #include "engine/window.h"
 #include "fault/fault_injector.h"
 #include "ingest/pipeline.h"
+#include "model/key_filter.h"
+#include "obs/autopsy.h"
 #include "obs/batch_report.h"
 #include "obs/observability.h"
 #include "replay/journal.h"
 #include "stats/metrics.h"
 #include "tenant/query_context.h"
+#include "tenant/tenant_scheduler.h"
 #include "workload/source.h"
 
 namespace prompt {
@@ -149,9 +154,42 @@ struct RunSummary {
                                     size_t warmup = 0) const;
 };
 
+/// \brief One driven query's results for a Run call (MultiTenantEngine
+/// returns one per tenant, MicroBatchEngine::Run the summary of its only
+/// query).
+struct TenantRunResult {
+  std::string id;
+  RunSummary summary;
+  /// Slots granted to this tenant over the run's heartbeats.
+  uint64_t slots_granted = 0;
+  /// Dominant autopsy verdict of each batch, in batch order (the per-tenant
+  /// autopsy stream in summary form; the JSONL rows carry the full detail).
+  std::vector<BatchCause> causes;
+  /// causes[] histogram, indexed by BatchCause.
+  std::array<uint64_t, kBatchCauses> cause_counts{};
+};
+
+/// \brief The per-query slice of the engine options (QueryContext
+/// construction). Multi-tenant queries start from the same slice and swap in
+/// their own adaptive ladder.
+QueryContextOptions QueryOptionsFrom(const EngineOptions& options);
+
+class MultiTenantEngine;
+
 /// \brief Ties together source → partitioner → executor → window, repeating
 /// the batching/processing pipeline with batching of batch x+1 overlapped
 /// with processing of batch x (paper Fig. 2).
+///
+/// One heartbeat loop drives a vector of QueryContexts over one shared
+/// source and ingest pipeline. Each heartbeat drains the source once (one
+/// tuple of lookahead), fans tuples out to every query whose KeyFilter
+/// matches (or merges once through the sharded pipeline, each query sealing
+/// its slice of the merge), then seals and processes each query's batch in
+/// query order on its cores. The public constructor builds one all-keys
+/// query on all cores; MultiTenantEngine builds N queries whose cores come
+/// from a weighted-fair TenantScheduler each heartbeat. Cluster mode,
+/// faults, elasticity, batch resizing and AddQuery extras are features of
+/// the single-query engine.
 class MicroBatchEngine {
  public:
   /// \param source not owned; must outlive the engine.
@@ -189,8 +227,8 @@ class MicroBatchEngine {
   uint32_t map_tasks() const { return query_->map_tasks; }
   uint32_t reduce_tasks() const { return query_->reduce_tasks; }
 
-  /// The per-query state bag this engine drives (the single-tenant fast
-  /// path: exactly one context, built in the constructor).
+  /// The per-query state bag this engine drives (the public constructor
+  /// builds exactly one).
   const QueryContext& query_context() const { return *query_; }
 
   /// §8 fault tolerance: recomputes the most recent batch from its
@@ -263,10 +301,50 @@ class MicroBatchEngine {
   void AddObserver(Observer* observer) { obs_->AddObserver(observer); }
 
  private:
-  BatchReport ProcessBatch(PartitionedBatch batch, TimeMicros interval);
+  friend class MultiTenantEngine;
+
+  /// One query to drive: what the constructor turns into a QueryContext.
+  struct QuerySpec {
+    std::string id;
+    QueryContextOptions options;
+    JobSpec job;
+    std::unique_ptr<BatchPartitioner> partitioner;
+    /// The slice of the shared key space the query consumes.
+    KeyFilter filter;
+    /// Tenant mode: the spec's text form, recorded in the journal manifest
+    /// so replay can rebuild the tenant.
+    std::string spec_line;
+  };
+
+  /// The shared constructor. A non-null `scheduler` (one tenant per query,
+  /// in query order) puts the engine in tenant mode: each query runs on its
+  /// slot grant, under its own tenant-labeled metrics and time series, owns
+  /// its own durable-store namespace (the query index), and the journal
+  /// records the multi-mode manifest.
+  MicroBatchEngine(EngineOptions options, std::vector<QuerySpec> queries,
+                   std::unique_ptr<TenantScheduler> scheduler,
+                   TupleSource* source);
+
+  /// Runs `num_batches` heartbeats over every query; results are
+  /// query-indexed.
+  std::vector<TenantRunResult> RunQueries(uint32_t num_batches);
+
+  /// One query's processing phase on `slots` cores (tenant mode; otherwise
+  /// every alive core).
+  BatchReport ProcessBatch(size_t query, PartitionedBatch batch,
+                           TimeMicros interval, uint32_t slots);
+  /// Publishes one processed batch: metrics, traces, time series and (in
+  /// tenant mode) the tenant-labeled autopsy row.
+  void PublishBatch(size_t query, const BatchReport& report,
+                    const BatchAutopsy& autopsy, TimeMicros interval,
+                    TimeMicros batch_start, uint32_t slots);
   /// Lays the batch's timeline spans into the trace recorder (tracing only).
   void RecordBatchTrace(const BatchReport& report, TimeMicros interval,
                         TimeMicros batch_start);
+
+  /// Cores a batch may use: every alive cluster core (at least one), else
+  /// the configured pool.
+  uint32_t AvailableCores() const;
 
   // ---- In-loop fault handling (src/fault/) ----
   /// Node ids currently alive (empty outside cluster mode).
@@ -280,6 +358,9 @@ class MicroBatchEngine {
   /// in-window batches whose bucket state lived there, top up replication,
   /// and feed the reduced capacity to the elastic controller.
   void RecoverFromNodeLoss(uint32_t node, BatchReport* report);
+  /// Alg. 4 capacity feed after a node kill/revive: the elastic controller
+  /// (if any) rescales to the cores now alive.
+  void FeedCapacityToElastic();
   /// Re-executes one batch from surviving store replicas on the currently
   /// alive cores (input repacked to fit, Alg. 2 style). Charges the redo to
   /// report->recovery_time and counts it in batches_replayed.
@@ -295,14 +376,28 @@ class MicroBatchEngine {
   bool ApplyTaskPerturbations(uint64_t batch_id, uint32_t map_cores,
                               BatchExecution* exec, BatchReport* report);
 
+  /// A driven query: its state bag plus the loop-side plumbing.
+  struct Query {
+    /// All per-query mutable state: the live partitioner, window,
+    /// elasticity / resizing / adaptive controllers, EWMA estimates,
+    /// replication bookkeeping.
+    std::unique_ptr<QueryContext> ctx;
+    KeyFilter filter;
+    // Tenant-labeled instrumentation (tenant mode with metrics on).
+    Counter* batches_total = nullptr;
+    Counter* tuples_total = nullptr;
+    HistogramMetric* latency_us = nullptr;
+    Gauge* slots_gauge = nullptr;
+    Gauge* w_gauge = nullptr;
+  };
+
   EngineOptions options_;
-  JobSpec job_;
   TupleSource* source_;
-  /// All per-query mutable state: the live partitioner, window, elasticity /
-  /// resizing / adaptive controllers, EWMA estimates, replication
-  /// bookkeeping. The engine drives exactly one context; the multi-tenant
-  /// scheduler (src/tenant/) drives N of them over one shared ingest.
-  std::unique_ptr<QueryContext> query_;
+  std::vector<Query> queries_;
+  /// queries_[0]'s context: the query the single-query features act on.
+  QueryContext* query_ = nullptr;
+  /// Weighted-fair slot shares across queries (tenant mode only).
+  std::unique_ptr<TenantScheduler> scheduler_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<SimulatedCluster> cluster_;
   std::unique_ptr<BatchStore> store_;
@@ -333,7 +428,8 @@ class MicroBatchEngine {
   /// next batch boundary (the engine's failure-detection point).
   std::vector<uint32_t> pending_node_losses_;
 
-  /// Replays surviving batches from the durable log into the window (ctor).
+  /// Replays every query's surviving batches from the durable log into its
+  /// window (ctor).
   void RecoverFromDurableStore();
 
   // ---- Flight recorder (src/replay/) ----

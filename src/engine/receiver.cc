@@ -147,47 +147,9 @@ Result<ReceivedBatch> StreamReceiver::NextBatchSharded(uint32_t num_blocks,
   const AccumulatedBatch& merged = pipeline_->SealBatch();
 
   ReceivedBatch out;
-  if (!partitioner_->SealAccumulated(merged, next_batch_id_, &out.batch)) {
-    // Technique without a quasi-sorted fast path: replay the merged batch in
-    // quasi-sorted order through the regular per-tuple interface. Online
-    // techniques are order-insensitive apart from tie-breaking, so this
-    // preserves their semantics.
-    for (const SortedKeyRun& run : merged.keys()) {
-      merged.ForEachTuple(run, 0, run.count,
-                          [&](const Tuple& t) { partitioner_->OnTuple(t); });
-    }
-    // Sketch mode keeps tail tuples outside the run list — replay them too.
-    for (const TailBucket& bucket : merged.tail()) {
-      merged.ForEachTailTuple(
-          bucket, [&](const Tuple& t) { partitioner_->OnTuple(t); });
-    }
-    out.batch = partitioner_->Seal(next_batch_id_);
-  }
-  ++next_batch_id_;
+  out.batch = SealMerged(partitioner_, merged, next_batch_id_++, KeyFilter{});
   out.deferred_tuples = deferred;
-
-  // EWMA feedback for the per-shard Alg. 1 scaling (mirrors the engine's
-  // alpha = 0.4 receiver estimates). In sketch mode num_keys() counts only
-  // promoted head runs — feeding that back would collapse K_avg toward 1,
-  // blow up the auto promote threshold (4 * N_est / K_avg) and lock the
-  // sketch out of ever promoting again; the HLL estimate is the honest
-  // cardinality signal there.
-  constexpr double kAlpha = 0.4;
-  const double tuples = static_cast<double>(merged.num_tuples());
-  const double keys = static_cast<double>(
-      merged.stats().sketch_mode
-          ? std::max(merged.num_keys(), merged.stats().distinct_estimate)
-          : merged.num_keys());
-  if (!est_init_) {
-    est_tuples_ = tuples;
-    est_keys_ = keys;
-    est_init_ = true;
-  } else {
-    est_tuples_ = kAlpha * tuples + (1 - kAlpha) * est_tuples_;
-    est_keys_ = kAlpha * keys + (1 - kAlpha) * est_keys_;
-  }
-  pipeline_->UpdateEstimates(static_cast<uint64_t>(est_tuples_),
-                             static_cast<uint64_t>(est_keys_));
+  pipeline_->ObserveSealedBatch();
   return out;
 }
 

@@ -103,10 +103,6 @@ class StreamReceiver {
   TimeMicros next_start_ = 0;
   bool have_pending_ = false;
   Tuple pending_{};
-  // Receiver-side EWMA estimates feeding the pipeline's shard budgets.
-  bool est_init_ = false;
-  double est_tuples_ = 0;
-  double est_keys_ = 0;
 };
 
 }  // namespace prompt

@@ -86,6 +86,17 @@ void ParallelIngestPipeline::UpdateEstimates(uint64_t estimated_tuples,
   options_.accumulator_options.avg_keys = std::max<uint64_t>(1, avg_keys);
 }
 
+void ParallelIngestPipeline::ObserveSealedBatch() {
+  const SketchBatchStats& stats = merged_batch_.stats();
+  est_tuples_.Observe(static_cast<double>(merged_batch_.num_tuples()));
+  est_keys_.Observe(static_cast<double>(
+      stats.sketch_mode
+          ? std::max(merged_batch_.num_keys(), stats.distinct_estimate)
+          : merged_batch_.num_keys()));
+  UpdateEstimates(static_cast<uint64_t>(est_tuples_.Value()),
+                  static_cast<uint64_t>(est_keys_.Value()));
+}
+
 void ParallelIngestPipeline::BindMetrics(MetricsRegistry* registry) {
   if (registry == nullptr) return;
   ring_stalls_total_ =
@@ -342,6 +353,28 @@ void ParallelIngestPipeline::WorkerLoop(uint32_t index) {
         break;
     }
   }
+}
+
+PartitionedBatch SealMerged(BatchPartitioner* partitioner,
+                            const AccumulatedBatch& merged, uint64_t batch_id,
+                            const KeyFilter& filter) {
+  PartitionedBatch batch;
+  if (filter.kind == KeyFilter::Kind::kAll &&
+      partitioner->SealAccumulated(merged, batch_id, &batch)) {
+    return batch;
+  }
+  auto replay = [&](const Tuple& t) { partitioner->OnTuple(t); };
+  for (const SortedKeyRun& run : merged.keys()) {
+    if (filter.Matches(run.key)) {
+      merged.ForEachTuple(run, 0, run.count, replay);
+    }
+  }
+  for (const TailBucket& bucket : merged.tail()) {
+    merged.ForEachTailTuple(bucket, [&](const Tuple& t) {
+      if (filter.Matches(t.key)) replay(t);
+    });
+  }
+  return partitioner->Seal(batch_id);
 }
 
 }  // namespace prompt

@@ -31,8 +31,11 @@
 #include "common/clock.h"
 #include "common/macros.h"
 #include "core/accumulator_api.h"
+#include "core/partitioner.h"
 #include "ingest/spsc_ring.h"
+#include "model/key_filter.h"
 #include "obs/metrics_registry.h"
+#include "stats/ewma.h"
 #include "stats/metrics.h"
 
 namespace prompt {
@@ -109,6 +112,15 @@ class ParallelIngestPipeline {
   /// next BeginBatch.
   void UpdateEstimates(uint64_t estimated_tuples, uint64_t avg_keys);
 
+  /// The shared-ingest feedback rule: folds the last sealed batch's merged
+  /// totals into alpha = 0.4 EWMAs and applies them through UpdateEstimates.
+  /// In sketch mode num_keys() counts only promoted head runs — feeding
+  /// that back would collapse K_avg toward 1, blow up the auto promote
+  /// threshold (4 * N_est / K_avg) and lock the sketch out of promoting —
+  /// so the HLL distinct estimate stands in when it is larger. Call between
+  /// SealBatch and the next BeginBatch.
+  void ObserveSealedBatch();
+
   /// Opens a batch interval [start, end) on every shard.
   void BeginBatch(TimeMicros start, TimeMicros end);
 
@@ -183,6 +195,8 @@ class ParallelIngestPipeline {
   AccumulatedBatch merged_batch_;
 
   IngestMetrics metrics_;
+  Ewma est_tuples_{0.4};
+  Ewma est_keys_{0.4};
   Stopwatch ingest_watch_;
   bool batch_open_ = false;
 
@@ -193,5 +207,16 @@ class ParallelIngestPipeline {
   /// Atomic: idle workers poll it outside the mutex.
   std::atomic<bool> stopped_{false};
 };
+
+/// \brief Seals a merged batch (SealBatch's view) through `partitioner` as
+/// batch `batch_id`, keeping only the keys `filter` matches. Techniques with
+/// the quasi-sorted fast path consume an unfiltered merge whole
+/// (SealAccumulated); otherwise the filter's slice is replayed through
+/// OnTuple in quasi-sorted order — whole key runs, then sketch-mode tail
+/// tuples one by one (tail buckets mix keys, and skipping them would drop
+/// never-promoted keys from the batch) — and sealed.
+PartitionedBatch SealMerged(BatchPartitioner* partitioner,
+                            const AccumulatedBatch& merged, uint64_t batch_id,
+                            const KeyFilter& filter);
 
 }  // namespace prompt

@@ -4,9 +4,11 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <sstream>
 
@@ -281,12 +283,26 @@ bool HttpExporter::RenderPath(const std::string& target, std::string* body,
 }
 
 void HttpExporter::HandleConnection(int fd) const {
+  // Connections are served one at a time on the accept thread, so every
+  // socket call carries a deadline: a client that connects and stalls (or
+  // never reads its response) holds up the next scrape — and Stop() — for
+  // about a second, not forever. The per-call timeout bounds each blocked
+  // recv/send; the overall deadline bounds a client trickling bytes.
+  constexpr int kConnectionDeadlineMs = 1000;
+  const timeval timeout{kConnectionDeadlineMs / 1000,
+                        (kConnectionDeadlineMs % 1000) * 1000};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(kConnectionDeadlineMs);
+
   // Read just the request line; headers are irrelevant to the three
   // endpoints and connections are one-shot (Connection: close).
   char buf[2048];
   std::string request;
   while (request.find("\r\n") == std::string::npos &&
-         request.size() < sizeof(buf)) {
+         request.size() < sizeof(buf) &&
+         std::chrono::steady_clock::now() < deadline) {
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) break;
     request.append(buf, static_cast<size_t>(n));

@@ -23,39 +23,11 @@
 
 #include "baselines/factory.h"
 #include "common/result.h"
-#include "model/tuple.h"
+#include "model/key_filter.h"
 #include "query/parser.h"
 #include "query/query.h"
 
 namespace prompt {
-
-/// \brief Which slice of the shared key space a tenant consumes. Tuples fan
-/// out from the shared ingest shards to each tenant's accumulator through
-/// this predicate (kAll duplicates the stream to the tenant).
-struct KeyFilter {
-  enum class Kind { kAll, kModulo, kRange };
-  Kind kind = Kind::kAll;
-  uint64_t modulo = 1;  ///< kModulo: key % modulo == residue
-  uint64_t residue = 0;
-  uint64_t lo = 0;  ///< kRange: lo <= key <= hi
-  uint64_t hi = UINT64_MAX;
-
-  bool Matches(KeyId key) const {
-    switch (kind) {
-      case Kind::kAll:
-        return true;
-      case Kind::kModulo:
-        return key % modulo == residue;
-      case Kind::kRange:
-        return key >= lo && key <= hi;
-    }
-    return true;
-  }
-
-  /// "all", "mod:M:R" or "range:LO:HI" (Parse round-trips this).
-  std::string ToString() const;
-  static Result<KeyFilter> Parse(const std::string& text);
-};
 
 /// \brief One tenant's complete serving spec.
 struct TenantQuerySpec {

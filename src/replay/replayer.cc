@@ -75,6 +75,22 @@ Result<PartitionerConfig> PartitionerConfigFromManifest(
   return config;
 }
 
+/// The adaptive block both engine modes record: thresholds, ladder and
+/// partitioner config (enabled/d are single-mode keys).
+Status AdaptFromManifest(const JournalManifest& m, AdaptiveOptions* a) {
+  a->grace = static_cast<int>(m.GetInt("adapt.grace", a->grace));
+  a->window = static_cast<uint32_t>(m.GetUint("adapt.window", a->window));
+  a->calm_block_load_ratio =
+      m.GetDouble("adapt.calm_block_load_ratio", a->calm_block_load_ratio);
+  a->calm_split_key_frac =
+      m.GetDouble("adapt.calm_split_key_frac", a->calm_split_key_frac);
+  if (const std::string* csv = m.Find("adapt.candidates")) {
+    PROMPT_ASSIGN_OR_RETURN(a->candidates, CandidatesFromCsv(*csv));
+  }
+  PROMPT_ASSIGN_OR_RETURN(a->config, PartitionerConfigFromManifest(m));
+  return Status::OK();
+}
+
 Status IngestFromManifest(const JournalManifest& m, IngestOptions* ingest) {
   ingest->shards = static_cast<uint32_t>(m.GetUint("ingest.shards", 1));
   ingest->ring_capacity =
@@ -82,6 +98,16 @@ Status IngestFromManifest(const JournalManifest& m, IngestOptions* ingest) {
   PROMPT_ASSIGN_OR_RETURN(
       ingest->accumulator,
       AccumulatorKindFromName(m.Get("ingest.accumulator", "flat")));
+  const std::string key_mode = m.Get("ingest.key_mode", "exact");
+  if (!ParseKeyMode(key_mode, &ingest->key_mode)) {
+    return Status::Invalid("replay: unknown ingest.key_mode '" + key_mode +
+                           "'");
+  }
+  SketchSettings& sketch = ingest->accumulator_options.sketch;
+  sketch.capacity = static_cast<uint32_t>(
+      m.GetUint("ingest.sketch_capacity", sketch.capacity));
+  sketch.tail_buckets = static_cast<uint32_t>(
+      m.GetUint("ingest.tail_buckets", sketch.tail_buckets));
   return Status::OK();
 }
 
@@ -164,19 +190,9 @@ Result<EngineOptions> SingleOptionsFromManifest(const JournalManifest& m,
   e.trend_lookback =
       static_cast<int>(m.GetInt("elasticity.trend_lookback", e.trend_lookback));
 
-  AdaptiveOptions& a = o.adapt;
-  a.enabled = m.GetBool("adapt.enabled", false);
-  a.d = static_cast<int>(m.GetInt("adapt.d", a.d));
-  a.grace = static_cast<int>(m.GetInt("adapt.grace", a.grace));
-  a.window = static_cast<uint32_t>(m.GetUint("adapt.window", a.window));
-  a.calm_block_load_ratio =
-      m.GetDouble("adapt.calm_block_load_ratio", a.calm_block_load_ratio);
-  a.calm_split_key_frac =
-      m.GetDouble("adapt.calm_split_key_frac", a.calm_split_key_frac);
-  if (const std::string* csv = m.Find("adapt.candidates")) {
-    PROMPT_ASSIGN_OR_RETURN(a.candidates, CandidatesFromCsv(*csv));
-  }
-  PROMPT_ASSIGN_OR_RETURN(a.config, PartitionerConfigFromManifest(m));
+  o.adapt.enabled = m.GetBool("adapt.enabled", false);
+  o.adapt.d = static_cast<int>(m.GetInt("adapt.d", o.adapt.d));
+  PROMPT_RETURN_NOT_OK(AdaptFromManifest(m, &o.adapt));
 
   PROMPT_RETURN_NOT_OK(ObsFromManifest(m, &o.obs));
   PROMPT_RETURN_NOT_OK(FaultsFromManifest(m, &o.faults));
@@ -234,18 +250,7 @@ Result<MultiTenantEngineOptions> MultiOptionsFromManifest(
   o.unstable_queue_intervals =
       m.GetDouble("unstable_queue_intervals", o.unstable_queue_intervals);
 
-  AdaptiveOptions& a = o.adapt_base;
-  if (const std::string* csv = m.Find("adapt.candidates")) {
-    PROMPT_ASSIGN_OR_RETURN(a.candidates, CandidatesFromCsv(*csv));
-  }
-  a.grace = static_cast<int>(m.GetInt("adapt.grace", a.grace));
-  a.window = static_cast<uint32_t>(m.GetUint("adapt.window", a.window));
-  a.calm_block_load_ratio =
-      m.GetDouble("adapt.calm_block_load_ratio", a.calm_block_load_ratio);
-  a.calm_split_key_frac =
-      m.GetDouble("adapt.calm_split_key_frac", a.calm_split_key_frac);
-  PROMPT_ASSIGN_OR_RETURN(a.config, PartitionerConfigFromManifest(m));
-
+  PROMPT_RETURN_NOT_OK(AdaptFromManifest(m, &o.adapt_base));
   PROMPT_RETURN_NOT_OK(ObsFromManifest(m, &o.obs));
   PROMPT_RETURN_NOT_OK(StoreFromManifest(m, store_dir, &o.store));
   PROMPT_RETURN_NOT_OK(IngestFromManifest(m, &o.ingest));

@@ -1,12 +1,15 @@
-// Multi-tenant query serving: N QueryContexts multiplexed over one shared
-// ingest pipeline by a weighted-fair TenantScheduler.
+// Multi-tenant query serving: N tenant queries over one shared source and
+// ingest pipeline, driven by MicroBatchEngine's heartbeat loop — the same
+// Run that drives the single-query engine, here over N QueryContexts.
 //
+// Create() validates the tenant specs, registers every tenant with a
+// weighted-fair TenantScheduler and hands the loop one query per tenant.
 // Each heartbeat:
 //   1. the scheduler hands every tenant its deterministic slot share
 //      (weights only — a tenant's overflow queues behind its *own* slots);
 //   2. the shared source drains once; tuples fan out to each tenant whose
 //      KeyFilter matches (sharded ingest merges once, then each tenant
-//      replays its slice of the merged quasi-sorted runs);
+//      seals its slice of the merged quasi-sorted runs);
 //   3. every tenant seals and processes its own batch on its granted slots,
 //      with its own window, technique/adaptive-ladder state, autopsy stream
 //      and tenant-labeled metrics.
@@ -14,12 +17,11 @@
 // neighbor's queueing never shows up in a calm tenant's latency — the
 // isolation property bench/multi_tenant_isolation asserts.
 //
-// Not in this engine (single-tenant only for now): cluster mode / fault
-// injection, elasticity, batch resizing, report-row sinks. The shared
-// substrate here is the ingest pipeline and the slot pool.
+// Cluster mode, fault injection, elasticity, batch resizing and report-row
+// sinks stay single-query features of the loop; MultiTenantEngineOptions
+// has no fields for them.
 #pragma once
 
-#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,7 +29,6 @@
 #include "common/result.h"
 #include "engine/engine.h"
 #include "ingest/pipeline.h"
-#include "obs/autopsy.h"
 #include "obs/observability.h"
 #include "query/multi_query.h"
 #include "replay/journal.h"
@@ -36,8 +37,6 @@
 #include "workload/source.h"
 
 namespace prompt {
-
-class ThreadPool;
 
 /// \brief Shared-substrate configuration. Per-query knobs (technique,
 /// adaptive ladder, weight, filter, window) come from each TenantQuerySpec.
@@ -82,25 +81,13 @@ struct MultiTenantEngineOptions {
   JournalOptions journal;
 };
 
-/// \brief One tenant's results for a Run call.
-struct TenantRunResult {
-  std::string id;
-  RunSummary summary;
-  /// Slots granted to this tenant over the run's heartbeats.
-  uint64_t slots_granted = 0;
-  /// Dominant autopsy verdict of each batch, in batch order (the per-tenant
-  /// autopsy stream in summary form; the JSONL rows carry the full detail).
-  std::vector<BatchCause> causes;
-  /// causes[] histogram, indexed by BatchCause.
-  std::array<uint64_t, kBatchCauses> cause_counts{};
-};
-
 /// \brief All tenants' results for a Run call, tenant-indexed.
 struct MultiTenantRunSummary {
   std::vector<TenantRunResult> tenants;
 };
 
-/// \brief The multi-tenant serving engine.
+/// \brief The multi-tenant serving engine: a facade that builds the shared
+/// heartbeat loop over one query per tenant.
 class MultiTenantEngine {
  public:
   /// \param source not owned; must outlive the engine. Invalid when specs is
@@ -116,68 +103,41 @@ class MultiTenantEngine {
   /// this call's batches only.
   MultiTenantRunSummary Run(uint32_t num_batches);
 
-  size_t tenants() const { return tenants_.size(); }
-  const std::string& id(size_t tenant) const;
+  size_t tenants() const { return engine_->queries_.size(); }
+  const std::string& id(size_t tenant) const { return context(tenant).id(); }
   /// The tenant's complete per-query state (window, technique, clocks).
-  const QueryContext& context(size_t tenant) const;
-  const WindowState& window(size_t tenant) const;
+  const QueryContext& context(size_t tenant) const {
+    return *engine_->queries_[tenant].ctx;
+  }
+  const WindowState& window(size_t tenant) const {
+    return *context(tenant).window;
+  }
 
-  const TenantScheduler& scheduler() const { return *scheduler_; }
-  Observability* observability() { return obs_.get(); }
-  const Observability* observability() const { return obs_.get(); }
+  const TenantScheduler& scheduler() const { return *engine_->scheduler_; }
+  Observability* observability() { return engine_->observability(); }
+  const Observability* observability() const {
+    return engine_->observability();
+  }
   const MultiTenantEngineOptions& options() const { return options_; }
 
-  /// What Create() recovered from the shared store directory.
-  struct DurableRecovery {
-    uint64_t batches_recovered = 0;  ///< across all tenants
-    uint64_t torn_records = 0;
-    /// Torn tail or undecodable record: at least one logged batch did not
-    /// survive (reported, never fabricated).
-    bool data_loss = false;
-  };
-  const DurableRecovery& durable_recovery() const { return durable_recovery_; }
-  const DurableBlockStore* durable_store() const { return durable_.get(); }
+  /// What Create() recovered from the shared store directory (across all
+  /// tenants; batch ids share the heartbeat clock).
+  using DurableRecovery = MicroBatchEngine::DurableRecovery;
+  const DurableRecovery& durable_recovery() const {
+    return engine_->durable_recovery();
+  }
+  const DurableBlockStore* durable_store() const {
+    return engine_->durable_store();
+  }
   /// The flight recorder, or null when options.journal is disabled.
-  const JournalWriter* journal() const { return journal_.get(); }
+  const JournalWriter* journal() const { return engine_->journal(); }
 
  private:
-  struct Tenant {
-    TenantQuerySpec spec;
-    std::unique_ptr<QueryContext> ctx;
-    // Tenant-labeled instrumentation (null when metrics are disabled).
-    Counter* batches_total = nullptr;
-    Counter* tuples_total = nullptr;
-    HistogramMetric* latency_us = nullptr;
-    Gauge* slots_gauge = nullptr;
-    Gauge* w_gauge = nullptr;
-  };
-
-  MultiTenantEngine(MultiTenantEngineOptions options, TupleSource* source);
-
-  /// The lean per-tenant processing phase: overflow accounting, partition
-  /// metrics, Map/Reduce execution on `slots` cores, window update.
-  BatchReport ProcessTenantBatch(Tenant* tenant, PartitionedBatch batch,
-                                 TimeMicros interval, uint32_t slots);
+  MultiTenantEngine(MultiTenantEngineOptions options,
+                    std::unique_ptr<MicroBatchEngine> engine);
 
   MultiTenantEngineOptions options_;
-  TupleSource* source_;
-  std::unique_ptr<Observability> obs_;
-  std::unique_ptr<TenantScheduler> scheduler_;
-  std::unique_ptr<ParallelIngestPipeline> ingest_;  // ingest.shards > 1
-  std::unique_ptr<ThreadPool> pool_;                // mode == kReal
-  std::unique_ptr<DurableBlockStore> durable_;      // store.dir non-empty
-  std::unique_ptr<JournalWriter> journal_;          // journal.dir non-empty
-  DurableRecovery durable_recovery_;
-  std::vector<Tenant> tenants_;
-
-  TimeMicros next_batch_start_ = 0;
-  bool have_pending_ = false;
-  Tuple pending_{};  ///< one-tuple lookahead across batch boundaries
-
-  // Shared-ingest EWMA estimates (merged totals across all tenants).
-  double est_tuples_ = 0;
-  double est_keys_ = 0;
-  bool est_init_ = false;
+  std::unique_ptr<MicroBatchEngine> engine_;
 };
 
 }  // namespace prompt

@@ -1,7 +1,7 @@
 // Format pins: checked-in bytes that every on-disk codec must keep reading
 // and reproducing exactly. tests/testdata/format_pins/ holds a tiny durable
-// store directory and a tiny run journal recorded by promptctl (see the
-// README there); the golden hex below pins EncodeBatch and
+// store directory, a tiny single-query run journal and a tiny two-tenant
+// run journal recorded by promptctl (see the README there); the golden hex below pins EncodeBatch and
 // WindowState::Checkpoint on fixed inputs. A codec refactor that changes a
 // single byte on disk fails here — old store directories must still
 // recover and old journals must still replay.
@@ -218,6 +218,31 @@ TEST(FormatPinTest, JournalFixtureReplaysWithZeroDivergentBatches) {
             ReadFile(kPins + "/journal/seg-000000.log"));
   EXPECT_EQ(ReadFile(options.output_dir + "/store/seg-000000.log"),
             ReadFile(kPins + "/store/seg-000000.log"));
+}
+
+TEST(FormatPinTest, MultiTenantJournalFixtureReplaysByteForByte) {
+  const std::string dir = CopyFixture("journal_multi");
+  auto journal = ReadJournal(dir);
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  EXPECT_EQ(journal->torn_records, 0u);
+  ASSERT_EQ(journal->attempts.size(), 1u);
+  EXPECT_EQ(journal->manifest.Get("mode", ""), "multi");
+  EXPECT_EQ(journal->manifest.GetAll("tenant").size(), 2u);
+  EXPECT_EQ(journal->attempts[0].published_batches(), 3u);
+
+  ReplayOptions options;
+  options.journal_dir = dir;
+  options.output_dir = ::testing::TempDir() + "/format_pin_journal_multi.replay";
+  std::filesystem::remove_all(options.output_dir);
+  auto replay = ReplayJournal(options);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  EXPECT_EQ(replay->mode, "multi");
+  EXPECT_TRUE(replay->manifest_match);
+  EXPECT_TRUE(replay->BitIdentical()) << replay->diff.summary;
+  EXPECT_EQ(replay->diff.identical_batches, 6u);  // 3 batches x 2 tenants
+  EXPECT_EQ(replay->diff.first_divergent_batch, UINT64_MAX);
+  EXPECT_EQ(ReadFile(options.output_dir + "/seg-000000.log"),
+            ReadFile(kPins + "/journal_multi/seg-000000.log"));
 }
 
 }  // namespace

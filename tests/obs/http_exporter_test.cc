@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <string>
+#include <thread>
 
 namespace prompt {
 namespace {
@@ -274,6 +276,41 @@ TEST(HttpExporterTest, HealthzReportsEngineHealthAsJson) {
   health = HttpGet(exporter.port(), "/healthz");
   EXPECT_NE(health.find("\"status\":\"degraded\""), std::string::npos);
   EXPECT_NE(health.find("store segment unreadable"), std::string::npos);
+}
+
+// A client that connects and never sends a request must not wedge the
+// single accept thread: a concurrent scrape is still answered and Stop()
+// still joins, both within the per-connection deadline (plus slack).
+TEST(HttpExporterTest, IdleClientCannotBlockScrapesOrStop) {
+  HttpExporter exporter(nullptr, nullptr);
+  ASSERT_TRUE(exporter.Start(0).ok());
+  auto connect_idle = [&] {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(exporter.port());
+    EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    return fd;
+  };
+  using Clock = std::chrono::steady_clock;
+  const int idle = connect_idle();
+  const auto scrape_start = Clock::now();
+  const std::string health = HttpGet(exporter.port(), "/healthz");
+  EXPECT_NE(health.find("200 OK"), std::string::npos) << health;
+  EXPECT_LT(Clock::now() - scrape_start, std::chrono::seconds(5));
+
+  // Let the accept thread pick the idle client up (its poll tick is 50 ms)
+  // so Stop() has to wait out that connection.
+  const int idle_at_stop = connect_idle();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const auto stop_start = Clock::now();
+  exporter.Stop();
+  EXPECT_LT(Clock::now() - stop_start, std::chrono::seconds(5));
+  ::close(idle);
+  ::close(idle_at_stop);
 }
 
 TEST(HttpExporterTest, BindFailureReturnsIOError) {

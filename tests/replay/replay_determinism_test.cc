@@ -1,7 +1,8 @@
 // End-to-end flight-recorder acceptance: record real engine runs, replay
 // them from the journal alone and require bit-identical outcome streams —
 // across ingest shard counts, a crash/restart lineage over the durable
-// store, and a two-tenant run. Plus the autopsy direction: a deliberately
+// store, a two-tenant run, and heavy-hitter (sketch) ingest in both engine
+// modes. Plus the autopsy direction: a deliberately
 // perturbed re-run must diff with the divergence pinned to the exact batch
 // the perturbation lands in.
 #include <gtest/gtest.h>
@@ -216,6 +217,67 @@ TEST(ReplayDeterminismTest, TwoTenantRunRoundTrips) {
           << "owner " << owner << " batch " << i;
     }
   }
+}
+
+/// Heavy-hitter ingest with non-default sketch geometry: replay must
+/// rebuild the key mode, the sketch capacity and the tail bucket count from
+/// the manifest, or the re-formed batches (and the manifest) diverge.
+IngestOptions SketchIngest() {
+  IngestOptions ingest;
+  ingest.key_mode = KeyMode::kSketch;
+  ingest.accumulator_options.sketch.capacity = 64;
+  ingest.accumulator_options.sketch.tail_buckets = 16;
+  return ingest;
+}
+
+TEST(ReplayDeterminismTest, SketchModeSingleRunRoundTrips) {
+  const std::string journal_dir = FreshDir("replay_sketch_single");
+  const std::string output_dir = FreshDir("replay_sketch_single.out");
+  {
+    auto source = MakeSource(31);
+    EngineOptions opts = RecordOptions(journal_dir);
+    opts.ingest = SketchIngest();
+    MicroBatchEngine engine(opts, JobSpec::WordCount(4),
+                            CreatePartitioner(PartitionerType::kPrompt),
+                            source.get());
+    ASSERT_TRUE(engine.init_status().ok());
+    engine.Run(8);
+  }
+  const ReplayResult result = MustReplay(journal_dir, output_dir);
+  EXPECT_EQ(result.mode, "single");
+  EXPECT_TRUE(result.manifest_match);
+  EXPECT_TRUE(result.diff.identical) << result.diff.summary;
+  EXPECT_EQ(result.diff.identical_batches, 8u);
+}
+
+TEST(ReplayDeterminismTest, SketchModeTwoTenantRunRoundTrips) {
+  const std::string journal_dir = FreshDir("replay_sketch_tenants");
+  const std::string output_dir = FreshDir("replay_sketch_tenants.out");
+  {
+    auto specs = ParseQueryFile(
+        "TENANT all WEIGHT 1 TECHNIQUE Prompt QUERY SELECT COUNT WINDOW 1S\n"
+        "TENANT odd WEIGHT 1 TECHNIQUE Hash KEYS mod:2:1 "
+        "QUERY SELECT COUNT WINDOW 1S\n");
+    ASSERT_TRUE(specs.ok()) << specs.status().message();
+    MultiTenantEngineOptions opts;
+    opts.batch_interval = kInterval;
+    opts.total_slots = 8;
+    opts.map_tasks = 4;
+    opts.reduce_tasks = 3;
+    opts.ingest = SketchIngest();
+    opts.ingest.shards = 2;
+    opts.journal.dir = journal_dir;
+    auto source = MakeSource(37);
+    auto engine = MultiTenantEngine::Create(
+        opts, std::move(specs).ValueUnsafe(), source.get());
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    (*engine)->Run(6);
+  }
+  const ReplayResult result = MustReplay(journal_dir, output_dir);
+  EXPECT_EQ(result.mode, "multi");
+  EXPECT_TRUE(result.manifest_match);
+  EXPECT_TRUE(result.diff.identical) << result.diff.summary;
+  EXPECT_EQ(result.diff.identical_batches, 12u);  // 6 batches x 2 tenants
 }
 
 TEST(ReplayDiffTest, PerturbedRerunPinsTheFirstDivergentBatch) {

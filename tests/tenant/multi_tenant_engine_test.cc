@@ -2,14 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "baselines/factory.h"
 #include "engine/engine.h"
 #include "query/parser.h"
+#include "replay/journal.h"
 #include "workload/composite_source.h"
 #include "workload/key_map.h"
 #include "workload/sources.h"
@@ -67,47 +70,84 @@ MultiTenantEngineOptions FastOptions(uint32_t total_slots) {
   return opts;
 }
 
-// Satellite 1's engine-level counterpart: a single kAll tenant through the
-// multi-tenant path must be indistinguishable from MicroBatchEngine —
-// same per-batch tuple counts and latencies, bit-identical window answers.
+// A single kAll tenant through the multi-tenant facade must be
+// indistinguishable from MicroBatchEngine: the same per-batch outcome
+// fingerprint (signals, makespans, technique, autopsy verdict, window-output
+// hash) and a bit-identical window, across shard counts, key modes and
+// techniques with and without the SealAccumulated fast path — which pins
+// the facade's slots <-> cores mapping. The tenant run is fed the solo
+// run's recorded wall-clock inputs (partition cost, seal/merge latency,
+// ring occupancy), exactly as a replay would be, so every compared value is
+// deterministic.
 TEST(MultiTenantEngineTest, SingleTenantMatchesMicroBatchEngine) {
   const std::string kQuery = "SELECT COUNT WINDOW 800MS SLIDE 200MS";
+  constexpr uint32_t kBatches = 12;
+  for (uint32_t shards : {1u, 3u}) {
+    for (KeyMode key_mode : {KeyMode::kExact, KeyMode::kSketch}) {
+      for (PartitionerType technique :
+           {PartitionerType::kPrompt, PartitionerType::kHash}) {
+        const std::string label =
+            "shards=" + std::to_string(shards) + " key_mode=" +
+            KeyModeName(key_mode) + " technique=" +
+            PartitionerTypeName(technique);
+        SCOPED_TRACE(label);
+        const std::string dir = ::testing::TempDir() + "/mt_match_" +
+                                std::to_string(shards) +
+                                KeyModeName(key_mode) +
+                                PartitionerTypeName(technique);
+        std::filesystem::remove_all(dir);
+        IngestOptions ingest;
+        ingest.shards = shards;
+        ingest.key_mode = key_mode;
+        ingest.accumulator_options.sketch.capacity = 64;
 
-  auto solo_source = MakeSource(20000);
-  CompiledQuery q = CountQuery(kQuery);
-  JobSpec job = q.job;
-  job.window_batches = q.window_batches();
-  EngineOptions solo_opts;
-  solo_opts.batch_interval = Millis(200);
-  solo_opts.map_tasks = 4;
-  solo_opts.reduce_tasks = 4;
-  solo_opts.cores = 4;
-  MicroBatchEngine solo(solo_opts, job,
-                        CreatePartitioner(PartitionerType::kHash),
-                        solo_source.get());
-  RunSummary solo_summary = solo.Run(12);
+        auto solo_source = MakeSource(20000);
+        CompiledQuery q = CountQuery(kQuery);
+        JobSpec job = q.job;
+        job.window_batches = q.window_batches();
+        EngineOptions solo_opts;
+        solo_opts.batch_interval = Millis(200);
+        solo_opts.map_tasks = 4;
+        solo_opts.reduce_tasks = 4;
+        solo_opts.cores = 4;
+        solo_opts.ingest = ingest;
+        solo_opts.journal.dir = dir + "/solo";
+        MicroBatchEngine solo(solo_opts, job, CreatePartitioner(technique),
+                              solo_source.get());
+        ASSERT_TRUE(solo.init_status().ok());
+        solo.Run(kBatches);
+        auto solo_journal = ReadJournal(solo_opts.journal.dir);
+        ASSERT_TRUE(solo_journal.ok()) << solo_journal.status().ToString();
 
-  auto mt_source = MakeSource(20000);
-  auto mt = MultiTenantEngine::Create(FastOptions(/*total_slots=*/4),
-                                      {MakeSpec("solo", 1, kQuery)},
-                                      mt_source.get());
-  ASSERT_TRUE(mt.ok()) << mt.status().message();
-  MultiTenantRunSummary mt_summary = mt.ValueOrDie()->Run(12);
+        auto mt_source = MakeSource(20000);
+        MultiTenantEngineOptions mt_opts = FastOptions(/*total_slots=*/4);
+        mt_opts.ingest = ingest;
+        mt_opts.journal.dir = dir + "/tenant";
+        mt_opts.journal.inject = std::make_shared<const ReplayEnv>(
+            solo_journal->attempts.at(0).envs);
+        TenantQuerySpec spec = MakeSpec("solo", 1, kQuery);
+        spec.technique = technique;
+        auto mt = MultiTenantEngine::Create(mt_opts, {spec}, mt_source.get());
+        ASSERT_TRUE(mt.ok()) << mt.status().message();
+        MultiTenantRunSummary mt_summary = mt.ValueOrDie()->Run(kBatches);
+        ASSERT_EQ(mt_summary.tenants.size(), 1u);
+        auto mt_journal = ReadJournal(mt_opts.journal.dir);
+        ASSERT_TRUE(mt_journal.ok()) << mt_journal.status().ToString();
 
-  ASSERT_EQ(mt_summary.tenants.size(), 1u);
-  const RunSummary& tenant = mt_summary.tenants[0].summary;
-  ASSERT_EQ(tenant.batches.size(), solo_summary.batches.size());
-  for (size_t i = 0; i < tenant.batches.size(); ++i) {
-    EXPECT_EQ(tenant.batches[i].num_tuples, solo_summary.batches[i].num_tuples)
-        << "batch " << i;
-    EXPECT_EQ(tenant.batches[i].latency, solo_summary.batches[i].latency)
-        << "batch " << i;
-    EXPECT_EQ(tenant.batches[i].processing_time,
-              solo_summary.batches[i].processing_time)
-        << "batch " << i;
+        const std::vector<BatchOutcome>& a =
+            solo_journal->attempts.at(0).outcomes.at(0);
+        const std::vector<BatchOutcome>& b =
+            mt_journal->attempts.at(0).outcomes.at(0);
+        ASSERT_EQ(a.size(), kBatches);
+        ASSERT_EQ(b.size(), kBatches);
+        for (size_t i = 0; i < kBatches; ++i) {
+          EXPECT_TRUE(a[i].BitIdentical(b[i])) << "batch " << i;
+        }
+        // Window aggregates must be bit-identical (same doubles, same keys).
+        EXPECT_EQ(mt.ValueOrDie()->window(0).Result(), solo.window().Result());
+      }
+    }
   }
-  // Window aggregates must be bit-identical (same doubles, same keys).
-  EXPECT_EQ(mt.ValueOrDie()->window(0).Result(), solo.window().Result());
 }
 
 // The isolation core: two tenants on disjoint key slices sharing one stream
@@ -217,6 +257,43 @@ TEST(MultiTenantEngineTest, WeightsDriveSlotsGranted) {
     uint64_t total = 0;
     for (uint64_t c : t.cause_counts) total += c;
     EXPECT_EQ(total, 10u);
+  }
+}
+
+// Restart over a shared durable store: every tenant's in-window batches
+// come back (each tenant owns one store namespace) and the recovered windows
+// equal the ones the first process held. Expiry follows the window length,
+// not the window's current fill — batch 0 stays in an 8-batch window.
+TEST(MultiTenantEngineTest, DurableRestartRecoversEveryInWindowBatch) {
+  const std::string kQuery = "SELECT COUNT WINDOW 1600MS SLIDE 200MS";
+  const std::string dir = ::testing::TempDir() + "/mt_durable_restart";
+  std::filesystem::remove_all(dir);
+  MultiTenantEngineOptions opts = FastOptions(/*total_slots=*/4);
+  opts.store.dir = dir;
+  auto specs = [&] {
+    return std::vector<TenantQuerySpec>{
+        MakeSpec("even", 1, kQuery, ModFilter(2, 0)),
+        MakeSpec("odd", 1, kQuery, ModFilter(2, 1))};
+  };
+  std::vector<std::unordered_map<KeyId, double>> before;
+  {
+    auto source = MakeSource(8000);
+    auto mt = MultiTenantEngine::Create(opts, specs(), source.get());
+    ASSERT_TRUE(mt.ok()) << mt.status().message();
+    mt.ValueOrDie()->Run(3);
+    for (size_t t = 0; t < 2; ++t) {
+      before.push_back(mt.ValueOrDie()->window(t).Result());
+    }
+  }
+  auto source = MakeSource(8000);
+  auto restarted = MultiTenantEngine::Create(opts, specs(), source.get());
+  ASSERT_TRUE(restarted.ok()) << restarted.status().message();
+  const MultiTenantEngine& mt = *restarted.ValueOrDie();
+  EXPECT_EQ(mt.durable_recovery().batches_recovered, 6u);
+  EXPECT_FALSE(mt.durable_recovery().data_loss);
+  for (size_t t = 0; t < 2; ++t) {
+    EXPECT_EQ(mt.window(t).Result(), before[t]) << mt.id(t);
+    EXPECT_EQ(mt.context(t).next_batch_id, 3u) << mt.id(t);
   }
 }
 
