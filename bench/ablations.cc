@@ -30,7 +30,7 @@ void BudgetSweep() {
     opts.budget = budget;
     opts.estimated_tuples = 60000;
     opts.avg_keys = 20000;
-    auto acc_ptr = MakeAccumulator(AccumulatorKind::kFlat, opts);
+    auto acc_ptr = MakeAccumulator(KeyMode::kExact, opts);
     auto& acc = *acc_ptr;
     acc.Begin(0, Seconds(1));
     for (int i = 0; i < 60000; ++i) {

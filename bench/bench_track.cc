@@ -28,6 +28,7 @@
 #include "ingest/merge.h"
 #include "ingest/pipeline.h"
 #include "multi_tenant_util.h"
+#include "reference/legacy_chain_accumulator.h"
 #include "obs/timeseries.h"
 #include "replay/replayer.h"
 
@@ -161,8 +162,9 @@ void TrackMultiTenant(std::vector<Signal>* out) {
 /// Tentpole acceptance signals for the flat accumulator rewrite over a
 /// deterministic replayed stream:
 ///  - flat_vs_legacy exactness (gated): 1.0 iff the flat accumulator's
-///    sealed run sequence and chained tuples are bit-identical to the legacy
-///    chain's. Pure data comparison, no clocks — any drift is a real bug.
+///    sealed run sequence and chained tuples are bit-identical to the Alg. 1
+///    reference's (tests/reference/). Pure data comparison, no clocks — any
+///    drift is a real bug.
 ///  - single-shard flat/legacy tuples-per-second ratio (ungated): the >= 3x
 ///    throughput payoff, wall-clock and therefore host-dependent.
 void TrackIngestAccumulators(std::vector<Signal>* out) {
@@ -181,9 +183,9 @@ void TrackIngestAccumulators(std::vector<Signal>* out) {
     AccumulatedBatch batch;
     double best_tps = 0;
   };
-  auto run = [&stream](AccumulatorKind kind) {
+  auto run = [&stream](ExactImpl impl) {
     Sealed s;
-    s.acc = MakeAccumulator(kind);
+    s.acc = MakeExactAccumulator(impl);
     for (int rep = 0; rep < 3; ++rep) {
       Stopwatch watch;
       s.acc->Begin(0, static_cast<TimeMicros>(stream.size()));
@@ -197,8 +199,8 @@ void TrackIngestAccumulators(std::vector<Signal>* out) {
     }
     return s;
   };
-  const Sealed legacy = run(AccumulatorKind::kLegacyChain);
-  const Sealed flat = run(AccumulatorKind::kFlat);
+  const Sealed legacy = run(ExactImpl::kLegacy);
+  const Sealed flat = run(ExactImpl::kFlat);
 
   double exact = 1.0;
   if (legacy.batch.keys().size() != flat.batch.keys().size()) exact = 0.0;
@@ -266,13 +268,13 @@ void TrackSketchScale(std::vector<Signal>* out) {
     double avg_block_size = 0;
     double head_coverage = 1.0;
   };
-  auto run_mode = [&stream](AccumulatorKind kind) {
+  auto run_mode = [&stream](KeyMode mode) {
     AccumulatorOptions opts;
     opts.estimated_tuples = stream.size();
     opts.avg_keys = kCardinality;  // auto promote threshold ~ 4x mean freq
     opts.sketch.capacity = 16384;
     opts.sketch.tail_buckets = 8 * kBlocks;
-    auto acc = MakeAccumulator(kind, opts);
+    auto acc = MakeAccumulator(mode, opts);
     acc->Begin(0, static_cast<TimeMicros>(stream.size()));
     for (const Tuple& t : stream) acc->OnTuple(t);
     AccumulatedBatch batch = acc->Seal();
@@ -288,8 +290,8 @@ void TrackSketchScale(std::vector<Signal>* out) {
     r.avg_block_size = m.avg_block_size;
     return r;
   };
-  const ModeResult exact = run_mode(AccumulatorKind::kFlat);
-  const ModeResult sketch = run_mode(AccumulatorKind::kSketch);
+  const ModeResult exact = run_mode(KeyMode::kExact);
+  const ModeResult sketch = run_mode(KeyMode::kSketch);
 
   const double mem_ratio =
       static_cast<double>(sketch.key_state_bytes) /
@@ -326,7 +328,7 @@ void TrackSketchScale(std::vector<Signal>* out) {
     scaled.avg_keys = std::max<uint64_t>(1, scaled.avg_keys / shards);
     std::vector<std::unique_ptr<Accumulator>> accs;
     for (uint32_t s = 0; s < shards; ++s) {
-      accs.push_back(MakeAccumulator(AccumulatorKind::kFlat, scaled));
+      accs.push_back(MakeAccumulator(KeyMode::kExact, scaled));
       accs.back()->Begin(0, static_cast<TimeMicros>(stream.size()));
     }
     for (size_t i = 0; i < kSlice; ++i) {

@@ -39,7 +39,7 @@ void Compare(const AccumulatedBatch& sealed, uint32_t blocks,
 int main() {
   // The paper's running example shape (Fig. 5): 385 tuples over 8 keys.
   {
-    auto acc_ptr = MakeAccumulator(AccumulatorKind::kFlat);
+    auto acc_ptr = MakeAccumulator(KeyMode::kExact);
     auto& acc = *acc_ptr;
     acc.Begin(0, Seconds(1));
     const uint64_t counts[8] = {120, 85, 60, 50, 30, 20, 12, 8};
@@ -55,7 +55,7 @@ int main() {
   }
   // A realistic batch: Zipfian, thousands of keys.
   {
-    auto acc_ptr = MakeAccumulator(AccumulatorKind::kFlat);
+    auto acc_ptr = MakeAccumulator(KeyMode::kExact);
     auto& acc = *acc_ptr;
     acc.Begin(0, Seconds(1));
     Rng rng(5);

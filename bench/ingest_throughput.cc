@@ -1,17 +1,20 @@
-// Ingest scaling harness for the accumulator rewrite and the sharded
-// parallel ingest pipeline (src/ingest/): raw Alg. 1 buffering throughput
-// (tuples/s) for each accumulator kind at 1..S shards over uniform and Zipf
-// key streams, plus two correctness cross-checks:
+// Ingest scaling harness for the sharded parallel ingest pipeline
+// (src/ingest/): raw Alg. 1 buffering throughput (tuples/s) of the flat
+// accumulator behind the pipeline at 1..S shards over uniform and Zipf key
+// streams. Speedups divide by the best serial baseline — the bare flat
+// accumulator on one thread, no pipeline — so the ring hop and merge costs
+// count against the shards. Two correctness cross-checks against the Alg. 1
+// reference (tests/reference/):
 //   - the merged batch's per-key counts are bit-identical to a single
-//     accumulator fed the same stream, and
-//   - the flat accumulator's sealed run sequence is bit-identical to the
-//     legacy chain's at every shard count (the tentpole acceptance).
+//     reference accumulator fed the same stream, and
+//   - at 1 shard the merged run sequence is bit-identical to it.
 //
 // The streams are pre-generated and replayed from memory, so the measurement
 // isolates route + accumulate + seal + merge — no source pacing, no queueing.
 // Multi-shard speedups require the shards to actually run on separate cores;
-// on a single-core host those numbers degenerate to ~1x. The single-shard
-// flat-vs-legacy ratio at the bottom is core-count independent.
+// on a single-core host those numbers degenerate to <= 1x. The
+// single-thread flat-vs-legacy ratio at the bottom of each block is
+// core-count independent.
 #include <cstdio>
 #include <map>
 #include <thread>
@@ -22,6 +25,7 @@
 #include "common/random.h"
 #include "core/accumulator_api.h"
 #include "ingest/pipeline.h"
+#include "reference/legacy_chain_accumulator.h"
 
 using namespace prompt;
 
@@ -72,9 +76,9 @@ double TimedPass(ParallelIngestPipeline& pipeline,
 }
 
 /// Best-of-reps single-accumulator throughput (no pipeline overhead).
-double SingleAccumulatorTps(AccumulatorKind kind,
-                            const std::vector<Tuple>& stream, int reps) {
-  auto acc = MakeAccumulator(kind);
+double SingleAccumulatorTps(ExactImpl impl, const std::vector<Tuple>& stream,
+                            int reps) {
+  auto acc = MakeExactAccumulator(impl);
   double best = 0;
   for (int r = 0; r < reps; ++r) {
     Stopwatch watch;
@@ -91,59 +95,53 @@ double SingleAccumulatorTps(AccumulatorKind kind,
 
 void RunScaling(const char* label, const std::vector<Tuple>& stream,
                 const std::vector<uint32_t>& shard_counts, int reps) {
-  // Ground truth for the bit-identity checks: the legacy chain accumulator.
-  auto reference = MakeAccumulator(AccumulatorKind::kLegacyChain);
-  reference->Begin(0, static_cast<TimeMicros>(stream.size()));
-  for (const Tuple& t : stream) reference->OnTuple(t);
-  const auto ref_batch = reference->Seal();
+  // Ground truth for the bit-identity checks: the Alg. 1 reference.
+  LegacyChainAccumulator reference;
+  reference.Begin(0, static_cast<TimeMicros>(stream.size()));
+  for (const Tuple& t : stream) reference.OnTuple(t);
+  const auto ref_batch = reference.Seal();
   const auto expected_counts = KeyCounts(ref_batch);
   const auto expected_runs = RunSequence(ref_batch);
 
-  for (AccumulatorKind kind :
-       {AccumulatorKind::kLegacyChain, AccumulatorKind::kFlat}) {
-    std::printf("%-10s %-8s %8s %14s %10s %10s %12s\n", label,
-                AccumulatorKindName(kind), "shards", "tuples/s", "speedup",
-                "imbalance", "runs");
-    double base = 0;
-    for (uint32_t shards : shard_counts) {
-      IngestOptions opts;
-      opts.shards = shards;
-      opts.accumulator = kind;
-      ParallelIngestPipeline pipeline(opts);
-      double best = 0;
-      bool counts_exact = true;
-      bool runs_exact = true;
-      for (int r = 0; r < reps; ++r) {
-        const double tps = TimedPass(pipeline, stream);
-        if (tps > best) best = tps;
-        if (r == 0) {
-          // Re-run untimed for verification.
-          pipeline.BeginBatch(0, static_cast<TimeMicros>(stream.size()));
-          for (const Tuple& t : stream) pipeline.Ingest(t);
-          const AccumulatedBatch& merged = pipeline.SealBatch();
-          counts_exact = KeyCounts(merged) == expected_counts;
-          // The run *sequence* is only bit-identical to the single legacy
-          // accumulator at 1 shard; multi-shard merges interleave shards.
-          runs_exact = shards > 1 || RunSequence(merged) == expected_runs;
-        }
+  // The best serial baseline every pipeline speedup divides by.
+  const double flat_tps = SingleAccumulatorTps(ExactImpl::kFlat, stream, reps);
+
+  std::printf("%-10s %8s %14s %10s %10s %12s\n", label, "shards", "tuples/s",
+              "vs-serial", "imbalance", "runs");
+  for (uint32_t shards : shard_counts) {
+    IngestOptions opts;
+    opts.shards = shards;
+    ParallelIngestPipeline pipeline(opts);
+    double best = 0;
+    bool counts_exact = true;
+    bool runs_exact = true;
+    for (int r = 0; r < reps; ++r) {
+      const double tps = TimedPass(pipeline, stream);
+      if (tps > best) best = tps;
+      if (r == 0) {
+        // Re-run untimed for verification.
+        pipeline.BeginBatch(0, static_cast<TimeMicros>(stream.size()));
+        for (const Tuple& t : stream) pipeline.Ingest(t);
+        const AccumulatedBatch& merged = pipeline.SealBatch();
+        counts_exact = KeyCounts(merged) == expected_counts;
+        // The run *sequence* is only bit-identical to the single reference
+        // accumulator at 1 shard; multi-shard merges interleave shards.
+        runs_exact = shards > 1 || RunSequence(merged) == expected_runs;
       }
-      if (shards == shard_counts.front()) base = best;
-      std::printf("%-10s %-8s %8u %14.0f %9.2fx %10.3f %12s\n", "", "",
-                  shards, best, base > 0 ? best / base : 0,
-                  ShardLoadImbalance(pipeline.last_metrics()),
-                  !counts_exact ? "COUNT-MISMATCH"
-                  : !runs_exact ? "RUN-MISMATCH"
-                                : "exact");
     }
-    std::printf("\n");
+    std::printf("%-10s %8u %14.0f %9.2fx %10.3f %12s\n", "", shards, best,
+                flat_tps > 0 ? best / flat_tps : 0,
+                ShardLoadImbalance(pipeline.last_metrics()),
+                !counts_exact ? "COUNT-MISMATCH"
+                : !runs_exact ? "RUN-MISMATCH"
+                              : "exact");
   }
 
-  // The tentpole headline: raw single-shard accumulator throughput.
+  // Raw single-thread accumulator throughput: production flat vs the
+  // reference transcription.
   const double legacy_tps =
-      SingleAccumulatorTps(AccumulatorKind::kLegacyChain, stream, reps);
-  const double flat_tps =
-      SingleAccumulatorTps(AccumulatorKind::kFlat, stream, reps);
-  std::printf("%-10s single-shard accumulator: legacy %.0f t/s, flat %.0f "
+      SingleAccumulatorTps(ExactImpl::kLegacy, stream, reps);
+  std::printf("%-10s single-thread accumulator: legacy %.0f t/s, flat %.0f "
               "t/s, flat/legacy %.2fx\n\n",
               label, legacy_tps, flat_tps,
               legacy_tps > 0 ? flat_tps / legacy_tps : 0);

@@ -1,5 +1,6 @@
 // Google-benchmark microbenchmarks of the hot data structures: the per-tuple
-// accumulator path, CountTree repositioning, seal-time planning, the online
+// accumulator path (production flat vs the Alg. 1 reference from
+// tests/reference/), CountTree repositioning, seal-time planning, the online
 // baselines' per-tuple decisions, and the reduce allocator.
 #include <benchmark/benchmark.h>
 
@@ -8,8 +9,9 @@
 #include "core/accumulator_api.h"
 #include "core/prompt_partitioner.h"
 #include "core/reduce_allocator.h"
-#include "stats/count_tree.h"
 #include "engine/serde.h"
+#include "reference/count_tree.h"
+#include "reference/legacy_chain_accumulator.h"
 #include "stats/hyperloglog.h"
 #include "stats/space_saving.h"
 #include "workload/sources.h"
@@ -30,9 +32,9 @@ std::vector<Tuple> MakeTuples(uint64_t n, uint64_t cardinality, double z) {
   return tuples;
 }
 
-AccumulatorKind KindArg(const benchmark::State& state) {
-  return state.range(1) != 0 ? AccumulatorKind::kFlat
-                             : AccumulatorKind::kLegacyChain;
+// Second benchmark argument: 1 = production flat, 0 = Alg. 1 reference.
+ExactImpl KindArg(const benchmark::State& state) {
+  return state.range(1) != 0 ? ExactImpl::kFlat : ExactImpl::kLegacy;
 }
 
 void BM_AccumulatorOnTuple(benchmark::State& state) {
@@ -40,7 +42,7 @@ void BM_AccumulatorOnTuple(benchmark::State& state) {
   AccumulatorOptions opts;
   opts.estimated_tuples = tuples.size();
   opts.avg_keys = state.range(0);
-  auto acc = MakeAccumulator(KindArg(state), opts);
+  auto acc = MakeExactAccumulator(KindArg(state), opts);
   for (auto _ : state) {
     acc->Begin(0, Seconds(10));
     for (const Tuple& t : tuples) acc->OnTuple(t);
@@ -57,7 +59,7 @@ BENCHMARK(BM_AccumulatorOnTuple)
 
 void BM_AccumulatorSeal(benchmark::State& state) {
   const auto tuples = MakeTuples(200000, state.range(0), 1.0);
-  auto acc = MakeAccumulator(KindArg(state));
+  auto acc = MakeExactAccumulator(KindArg(state));
   for (auto _ : state) {
     state.PauseTiming();
     acc->Begin(0, Seconds(10));
@@ -77,7 +79,7 @@ BENCHMARK(BM_AccumulatorSeal)
 
 void BM_PostSortSeal(benchmark::State& state) {
   const auto tuples = MakeTuples(200000, state.range(0), 1.0);
-  auto acc = MakeAccumulator(KindArg(state));
+  auto acc = MakeExactAccumulator(KindArg(state));
   for (auto _ : state) {
     state.PauseTiming();
     acc->Begin(0, Seconds(10));
@@ -115,7 +117,7 @@ BENCHMARK(BM_CountTreeUpdate)->Arg(1000)->Arg(100000);
 
 void BM_PromptPlan(benchmark::State& state) {
   const auto tuples = MakeTuples(200000, state.range(0), 1.2);
-  auto acc = MakeAccumulator(AccumulatorKind::kFlat);
+  auto acc = MakeAccumulator(KeyMode::kExact);
   acc->Begin(0, Seconds(10));
   for (const Tuple& t : tuples) acc->OnTuple(t);
   auto sealed = acc->Seal();

@@ -67,14 +67,14 @@ struct ModeResult {
 /// One mode over one stream: accumulate, seal, plan with Alg. 2, measure.
 /// `cardinality` feeds K_avg so the auto promote threshold
 /// (4 * N_est / K_avg) reflects the stream's true mean frequency.
-ModeResult RunMode(const std::vector<Tuple>& stream, AccumulatorKind kind,
+ModeResult RunMode(const std::vector<Tuple>& stream, KeyMode mode,
                    size_t sketch_capacity, uint64_t cardinality) {
   AccumulatorOptions opts;
   opts.estimated_tuples = stream.size();
   opts.avg_keys = cardinality;
   opts.sketch.capacity = sketch_capacity;
   opts.sketch.tail_buckets = 8 * kBlocks;
-  auto acc = MakeAccumulator(kind, opts);
+  auto acc = MakeAccumulator(mode, opts);
 
   Stopwatch watch;
   acc->Begin(0, static_cast<TimeMicros>(stream.size()));
@@ -157,7 +157,7 @@ BatchImage ReferenceExactMerge(const std::vector<Tuple>& stream,
   std::vector<std::unique_ptr<Accumulator>> accs;
   accs.reserve(shards);
   for (uint32_t s = 0; s < shards; ++s) {
-    accs.push_back(MakeAccumulator(AccumulatorKind::kFlat, scaled));
+    accs.push_back(MakeAccumulator(KeyMode::kExact, scaled));
     accs.back()->Begin(0, static_cast<TimeMicros>(stream.size()));
   }
   for (const Tuple& t : stream) {
@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
               "key_state_B", "bsi", "bsi/avg", "coverage", "Mtps");
   for (const double z : {0.8, 1.0, 1.4}) {
     const auto stream = MakeStream(tuples, cardinality, z, /*seed=*/42);
-    const ModeResult exact = RunMode(stream, AccumulatorKind::kFlat,
+    const ModeResult exact = RunMode(stream, KeyMode::kExact,
                                      /*sketch_capacity=*/0, cardinality);
     std::printf("%-6.1f %-10s %14zu %12.0f %10.4f %12.3f %12.2f\n", z,
                 "exact", exact.key_state_bytes, exact.bsi,
@@ -213,7 +213,7 @@ int main(int argc, char** argv) {
                 exact.accumulate_tps / 1e6);
     for (const size_t capacity : {4096ul, 16384ul, 65536ul}) {
       const ModeResult sk =
-          RunMode(stream, AccumulatorKind::kSketch, capacity, cardinality);
+          RunMode(stream, KeyMode::kSketch, capacity, cardinality);
       std::printf("%-6.1f %-10s %14zu %12.0f %10.4f %12.3f %12.2f\n", z,
                   ("sk" + std::to_string(capacity / 1024) + "k").c_str(),
                   sk.key_state_bytes, sk.bsi, sk.bsi / sk.avg_block_size,

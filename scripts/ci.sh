@@ -37,24 +37,22 @@ if [[ "${TRACE_LINES}" -ne 5 ]]; then
   exit 1
 fi
 
-# Accumulator parity smoke: the same seeded run through each accumulator
-# kind must print a byte-identical TOP-K table — the flat rewrite is only
-# allowed to be faster, never different. (Only the table body is compared;
-# the run header names the kind and the footer has wall-clock figures.)
-for KIND in flat legacy; do
-  "${BUILD_DIR}/tools/promptctl" --dataset=SynD --technique=Prompt \
-    --rate=4000 --batches=5 --ingest_shards=2 --zipf=1.0 \
-    --accumulator="${KIND}" \
-    2>&1 | tee "${LOG_DIR}/accumulator-${KIND}-smoke.log"
-  sed -n '/^top-/,/^$/p' "${LOG_DIR}/accumulator-${KIND}-smoke.log" \
-    > "${LOG_DIR}/accumulator-${KIND}-topk.txt"
-done
-if ! diff -u "${LOG_DIR}/accumulator-legacy-topk.txt" \
-            "${LOG_DIR}/accumulator-flat-topk.txt"; then
-  echo "accumulator smoke: flat and legacy TOP-K tables diverge" >&2
+# Legacy-journal smoke: a run recorded with the retired legacy Alg. 1
+# accumulator (the HTable + CountTree transcription, now a test-only oracle;
+# tests/testdata/format_pins/journal_legacy) must replay on the flat engine
+# batch for batch — the flat rewrite is only allowed to be faster, never
+# different.
+LEGACY_REPLAY="${LOG_DIR}/journal-legacy.replay"
+rm -rf "${LEGACY_REPLAY}"
+"${BUILD_DIR}/tools/promptctl" \
+  --replay=tests/testdata/format_pins/journal_legacy \
+  --record="${LEGACY_REPLAY}" \
+  2>&1 | tee "${LOG_DIR}/journal-legacy-replay.log"
+grep -q 'journals identical' "${LOG_DIR}/journal-legacy-replay.log" || {
+  echo "legacy-journal smoke: replay on the flat accumulator diverged" >&2
   exit 1
-fi
-echo "accumulator smoke: flat/legacy TOP-K tables identical"
+}
+echo "legacy-journal smoke: legacy-era journal replays identically on flat"
 
 # Heavy-hitter smoke (DESIGN.md §17): a 1M-key sketch-mode run
 # (--cardinality_scale=1.0 puts SynD at its full Table-1 cardinality) must

@@ -1,50 +1,41 @@
 #include "core/accumulator_api.h"
 
-#include "core/accumulator.h"
 #include "core/flat_accumulator.h"
 #include "core/sketch_accumulator.h"
 
 namespace prompt {
 
-const char* AccumulatorKindName(AccumulatorKind kind) {
-  switch (kind) {
-    case AccumulatorKind::kLegacyChain:
-      return "legacy";
-    case AccumulatorKind::kFlat:
-      return "flat";
-    case AccumulatorKind::kSketch:
+const char* KeyModeName(KeyMode mode) {
+  switch (mode) {
+    case KeyMode::kExact:
+      return "exact";
+    case KeyMode::kSketch:
       return "sketch";
   }
   return "unknown";
 }
 
-bool ParseAccumulatorKind(std::string_view name, AccumulatorKind* out) {
-  if (name == "flat") {
-    *out = AccumulatorKind::kFlat;
-    return true;
-  }
-  if (name == "legacy" || name == "legacy_chain") {
-    *out = AccumulatorKind::kLegacyChain;
+bool ParseKeyMode(std::string_view name, KeyMode* out) {
+  if (name == "exact") {
+    *out = KeyMode::kExact;
     return true;
   }
   if (name == "sketch") {
-    *out = AccumulatorKind::kSketch;
+    *out = KeyMode::kSketch;
     return true;
   }
   return false;
 }
 
-std::unique_ptr<Accumulator> MakeAccumulator(AccumulatorKind kind,
+std::unique_ptr<Accumulator> MakeAccumulator(KeyMode mode,
                                              AccumulatorOptions options) {
-  switch (kind) {
-    case AccumulatorKind::kLegacyChain:
-      return std::make_unique<LegacyChainAccumulator>(options);
-    case AccumulatorKind::kFlat:
+  switch (mode) {
+    case KeyMode::kExact:
       return std::make_unique<FlatAccumulator>(options);
-    case AccumulatorKind::kSketch:
+    case KeyMode::kSketch:
       return std::make_unique<SketchAccumulator>(options);
   }
-  PROMPT_CHECK_MSG(false, "unknown AccumulatorKind");
+  PROMPT_CHECK_MSG(false, "unknown KeyMode");
   return nullptr;
 }
 

@@ -1,6 +1,6 @@
 // The Accumulator seam: everything a caller needs to drive Alg. 1 batch
 // buffering without naming a concrete implementation. Implementations are
-// selected through MakeAccumulator(kind, options); the engine, the sharded
+// selected through MakeAccumulator(key_mode, options); the engine, the sharded
 // ingest pipeline, and the partitioners all program against this interface.
 #pragma once
 
@@ -38,7 +38,7 @@ struct SketchSettings {
 
 /// \brief Tuning knobs of the buffering mechanism.
 struct AccumulatorOptions {
-  /// Maximum ordering (CountTree / seal-rank) updates allowed per key per
+  /// Maximum ordering (seal-rank) updates allowed per key per
   /// batch interval (the `budget` of Alg. 1). Bounds total update work.
   uint32_t budget = 16;
   /// Estimated tuples in the interval (N_est), from the receiver's EWMA of
@@ -47,19 +47,20 @@ struct AccumulatorOptions {
   uint64_t estimated_tuples = 100000;
   /// Average distinct keys over past batches (K_avg).
   uint64_t avg_keys = 1000;
-  /// Heavy-hitter mode settings (used only by AccumulatorKind::kSketch).
+  /// Heavy-hitter mode settings (used only by KeyMode::kSketch).
   SketchSettings sketch;
 };
 
-/// \brief Selects the Alg. 1 accumulator implementation.
-enum class AccumulatorKind {
-  /// FlatMap chains + AVL CountTree: the original literal transcription of
-  /// Alg. 1. Kept as the differential-testing reference.
-  kLegacyChain,
-  /// Robin-hood open addressing over columnar (SoA) tuple storage with a
-  /// radix-partitioned seal. Bit-identical output, no per-update tree
-  /// rebalancing — the default.
-  kFlat,
+/// \brief How per-key frequency state is tracked during ingest, and with it
+/// which Alg. 1 implementation buffers the batch. The only selector of the
+/// implementation: every exact-mode accumulator in production is the flat
+/// one (the literal Alg. 1 transcription lives in tests/reference/ as the
+/// differential-testing oracle).
+enum class KeyMode {
+  /// Exact per-key state for every distinct key (the paper's §2.2.4
+  /// position): robin-hood open addressing over columnar (SoA) tuple
+  /// storage with a radix-partitioned seal. Memory is O(distinct keys).
+  kExact,
   /// Heavy-hitter mode (DESIGN.md §17): a Space-Saving sketch decides which
   /// keys earn exact counters and chains; everything else flows through
   /// hash-partitioned tail buckets with no per-key state. Key-proportional
@@ -67,12 +68,12 @@ enum class AccumulatorKind {
   kSketch,
 };
 
-/// Canonical lowercase name ("legacy" / "flat" / "sketch") for flags and logs.
-const char* AccumulatorKindName(AccumulatorKind kind);
+/// Canonical lowercase name ("exact" / "sketch") for flags and logs.
+const char* KeyModeName(KeyMode mode);
 
-/// Parses "flat" / "legacy" / "sketch" (also accepts "legacy_chain").
-/// Returns false on unknown names, leaving *out untouched.
-bool ParseAccumulatorKind(std::string_view name, AccumulatorKind* out);
+/// Parses "exact" / "sketch". Returns false on unknown names, leaving *out
+/// untouched.
+bool ParseKeyMode(std::string_view name, KeyMode* out);
 
 /// \brief One entry of the sealed quasi-sorted key list:
 /// `⟨key, count, tupleList⟩` with the tuple list referenced as a chain head
@@ -86,9 +87,10 @@ struct SortedKeyRun {
 };
 
 /// \brief Non-owning view over sealed tuple storage in either layout:
-/// row-major (the legacy chain arena, an array of Tuple) or columnar (the
-/// flat accumulator's SoA key/ts/value arrays). Both expose the same chain
-/// contract: At(i) materializes tuple i, Next(i) follows its key chain.
+/// row-major (an array of Tuple: the sharded pipeline's merged arena) or
+/// columnar (the flat accumulator's SoA key/ts/value arrays). Both expose
+/// the same chain contract: At(i) materializes tuple i, Next(i) follows its
+/// key chain.
 ///
 /// This replaces the raw `const std::vector<Tuple>*` that AccumulatedBatch
 /// used to carry: a view is built from explicit spans at one call site, so
@@ -256,7 +258,7 @@ class Accumulator {
  public:
   virtual ~Accumulator() = default;
 
-  /// Implementation name, matching AccumulatorKindName().
+  /// Implementation name ("flat" / "sketch").
   virtual const char* name() const = 0;
 
   /// Starts a new batch interval [start, end). Clears all logical state but
@@ -282,9 +284,8 @@ class Accumulator {
   virtual uint64_t num_tuples() const = 0;
   virtual uint64_t num_keys() const = 0;
 
-  /// Total budgeted ordering updates in the current batch (CountTree
-  /// repositionings for the legacy chain, seal-rank refreshes for the flat
-  /// implementation; bounded by num_keys * budget either way).
+  /// Total budgeted ordering updates in the current batch (seal-rank
+  /// refreshes; bounded by num_keys * budget).
   virtual uint64_t ordering_updates() const = 0;
 
   /// Bytes of buffer capacity currently held (tuple storage + hash table +
@@ -309,8 +310,9 @@ class Accumulator {
 };
 
 /// Factory: the only place a concrete accumulator type is named outside its
-/// own translation unit.
-std::unique_ptr<Accumulator> MakeAccumulator(AccumulatorKind kind,
+/// own translation unit. kExact builds the flat accumulator, kSketch the
+/// heavy-hitter one.
+std::unique_ptr<Accumulator> MakeAccumulator(KeyMode mode,
                                              AccumulatorOptions options = {});
 
 }  // namespace prompt

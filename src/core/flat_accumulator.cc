@@ -6,7 +6,7 @@
 namespace prompt {
 
 const char* FlatAccumulator::name() const {
-  return AccumulatorKindName(AccumulatorKind::kFlat);
+  return "flat";
 }
 
 void FlatAccumulator::Begin(TimeMicros start, TimeMicros end) {
@@ -21,7 +21,7 @@ void FlatAccumulator::Begin(TimeMicros start, TimeMicros end) {
   ts_col_.clear();
   value_col_.clear();
   next_.clear();
-  // Identical step seeding to the legacy path: f <- N_est / (K_avg * budget).
+  // Identical step seeding to the reference: f <- N_est / (K_avg * budget).
   const uint64_t denom =
       std::max<uint64_t>(1, options_.avg_keys * options_.budget);
   initial_f_step_ = std::max<uint64_t>(1, options_.estimated_tuples / denom);
@@ -53,9 +53,10 @@ size_t FlatAccumulator::capacity_bytes() const {
 }
 
 void FlatAccumulator::RankUpdate(KeyState& ks, TimeMicros now) {
-  // The legacy path repositions the key in the CountTree here; the flat path
-  // only refreshes the rank fields — the order is materialized at Seal().
-  // Every arithmetic step below mirrors LegacyChainAccumulator::TreeUpdate.
+  // The literal Alg. 1 repositions the key in its count tree here; the flat
+  // path only refreshes the rank fields — the order is materialized at
+  // Seal(). Every arithmetic step below mirrors the reference's TreeUpdate
+  // (tests/reference/legacy_chain_accumulator.cc).
   ++ordering_updates_;
   ks.freq_updated = ks.freq_current;
   if (ks.budget_left > 0) --ks.budget_left;
@@ -112,7 +113,7 @@ AccumulatedBatch FlatAccumulator::MakeBatch(
 }
 
 AccumulatedBatch FlatAccumulator::Seal() {
-  // Two-phase radix-partitioned merge reproducing the CountTree's reverse
+  // Two-phase radix-partitioned merge reproducing the count tree's reverse
   // in-order traversal: descending (freq_updated, key), larger key first on
   // ties, while the emitted counts stay the exact freq_current.
   //

@@ -1,7 +1,7 @@
 // Flat columnar implementation of Alg. 1 (paper §4.1): robin-hood hashing
-// over SoA tuple storage, with the CountTree replaced by a radix-partitioned
-// seal. Callers should obtain it via MakeAccumulator() (accumulator_api.h)
-// rather than naming this class.
+// over SoA tuple storage, with the paper's count tree replaced by a
+// radix-partitioned seal. Callers should obtain it via MakeAccumulator()
+// (accumulator_api.h) rather than naming this class.
 #pragma once
 
 #include <array>
@@ -15,10 +15,11 @@
 namespace prompt {
 
 /// \brief The fast-path accumulator. Produces output bit-identical to
-/// LegacyChainAccumulator — same key order, counts, and chains — without
-/// maintaining an ordering structure per tuple.
+/// the literal Alg. 1 transcription (HTable chains + AVL count tree, kept as
+/// the oracle in tests/reference/) — same key order, counts, and chains —
+/// without maintaining an ordering structure per tuple.
 ///
-/// Key insight: the legacy CountTree orders keys ascending by
+/// Key insight: the count tree orders keys ascending by
 /// (count, key), and its reverse in-order seal therefore emits descending
 /// (freq_updated, key) — larger key first on count ties — where
 /// freq_updated is each key's last *budgeted* frequency. That final rank is
@@ -75,8 +76,8 @@ class FlatAccumulator final : public Accumulator {
 
  private:
   /// Per-key state, dense (index-addressed by the hash table's value). Same
-  /// budget fields and transitions as the legacy KeyState; `key` is carried
-  /// here so Seal() never touches the hash table.
+  /// budget fields and transitions as the reference's KeyState; `key` is
+  /// carried here so Seal() never touches the hash table.
   struct KeyState {
     uint64_t freq_current = 0;
     uint64_t freq_updated = 0;

@@ -34,10 +34,8 @@ struct PartitionPlan {
 
 /// \brief Options of the Prompt batching-phase partitioner.
 struct PromptPartitionerOptions {
+  /// Alg. 1 tuning of the partitioner's own (always exact) accumulator.
   AccumulatorOptions accumulator;
-  /// Which Alg. 1 implementation buffers the batch (flat columnar by
-  /// default; both produce bit-identical sealed output).
-  AccumulatorKind accumulator_kind = AccumulatorKind::kFlat;
   /// Use the exact post-sort at seal instead of the maintained quasi-sorted
   /// order (the Fig. 14a "Post-Sort" ablation).
   bool post_sort = false;
@@ -66,8 +64,7 @@ class PromptPartitioner final : public BatchPartitioner {
  public:
   explicit PromptPartitioner(PromptPartitionerOptions options = {})
       : options_(options),
-        accumulator_(
-            MakeAccumulator(options.accumulator_kind, options.accumulator)) {}
+        accumulator_(MakeAccumulator(KeyMode::kExact, options.accumulator)) {}
 
   const char* name() const override {
     return options_.post_sort ? "Prompt+PostSort" : "Prompt";

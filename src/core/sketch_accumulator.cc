@@ -21,7 +21,7 @@ SketchAccumulator::SketchAccumulator(AccumulatorOptions options)
       table_(1024) {}
 
 const char* SketchAccumulator::name() const {
-  return AccumulatorKindName(AccumulatorKind::kSketch);
+  return "sketch";
 }
 
 void SketchAccumulator::Begin(TimeMicros start, TimeMicros end) {

@@ -52,8 +52,9 @@ void SetAdaptThresholdKeys(const AdaptiveOptions& a, JournalManifest* m) {
 
 void SetPartitionerAndObsKeys(const EngineOptions& o, JournalManifest* m) {
   const PartitionerConfig& config = o.adapt.config;
-  m->Set("partitioner.accumulator",
-         AccumulatorKindName(config.prompt.accumulator_kind));
+  // Constant: Alg. 1 has one exact implementation. The key stays so that
+  // journals recorded while it was selectable re-record byte for byte.
+  m->Set("partitioner.accumulator", "flat");
   m->Set("partitioner.post_sort", config.prompt.post_sort);
   m->Set("partitioner.cam_candidates",
          static_cast<uint64_t>(config.cam_candidates));
@@ -79,7 +80,8 @@ void SetStoreKeys(const StoreOptions& store, JournalManifest* m) {
 void SetIngestKeys(const IngestOptions& ingest, JournalManifest* m) {
   m->Set("ingest.shards", static_cast<uint64_t>(ingest.shards));
   m->Set("ingest.ring_capacity", static_cast<uint64_t>(ingest.ring_capacity));
-  m->Set("ingest.accumulator", AccumulatorKindName(ingest.accumulator));
+  // Constant, like partitioner.accumulator: kept for journal compatibility.
+  m->Set("ingest.accumulator", "flat");
   m->Set("ingest.key_mode", KeyModeName(ingest.key_mode));
   if (ingest.key_mode == KeyMode::kSketch) {
     const SketchSettings& sketch = ingest.accumulator_options.sketch;

@@ -24,43 +24,17 @@ AccumulatorOptions ScaleForShard(AccumulatorOptions base, uint32_t shards) {
 
 }  // namespace
 
-const char* KeyModeName(KeyMode mode) {
-  switch (mode) {
-    case KeyMode::kExact:
-      return "exact";
-    case KeyMode::kSketch:
-      return "sketch";
-  }
-  return "unknown";
-}
-
-bool ParseKeyMode(std::string_view name, KeyMode* out) {
-  if (name == "exact") {
-    *out = KeyMode::kExact;
-    return true;
-  }
-  if (name == "sketch") {
-    *out = KeyMode::kSketch;
-    return true;
-  }
-  return false;
-}
-
 ParallelIngestPipeline::ParallelIngestPipeline(IngestOptions options)
     : options_(options) {
   PROMPT_CHECK(options_.shards >= 1);
   PROMPT_CHECK(options_.ring_capacity >= 2);
-  // Heavy-hitter mode forces the sketch accumulator on every shard; the
-  // `accumulator` knob only selects among the exact implementations.
-  const AccumulatorKind kind = options_.key_mode == KeyMode::kSketch
-                                   ? AccumulatorKind::kSketch
-                                   : options_.accumulator;
   shard_options_ =
       ScaleForShard(options_.accumulator_options, options_.shards);
   shards_.reserve(options_.shards);
   for (uint32_t i = 0; i < options_.shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(
-        options_.ring_capacity, MakeAccumulator(kind, shard_options_)));
+        options_.ring_capacity,
+        MakeAccumulator(options_.key_mode, shard_options_)));
     shards_.back()->stats.ring_capacity = shards_.back()->ring.capacity();
   }
   for (uint32_t i = 0; i < options_.shards; ++i) {

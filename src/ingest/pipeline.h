@@ -5,11 +5,11 @@
 // ingestion queue into one accumulator — so Alg. 1 throughput is capped by
 // one core. Prompt's design shards cleanly: per-key accumulator state is
 // independent across disjoint key sets, so tuples routed by hash(key) % S
-// land in S private accumulators (any AccumulatorKind) that never share
-// state. At the early-release cut-off a seal barrier stops all shards and a
-// loser-tree k-way merge interleaves the per-shard quasi-sorted run lists
-// into one global quasi-sorted list with exact counts, which feeds Alg. 2
-// (BuildPromptPlan) unchanged.
+// land in S private accumulators (MakeAccumulator(key_mode)) that never
+// share state. At the early-release cut-off a seal barrier stops all shards
+// and a loser-tree k-way merge interleaves the per-shard quasi-sorted run
+// lists into one global quasi-sorted list with exact counts, which feeds
+// Alg. 2 (BuildPromptPlan) unchanged.
 //
 // Thread roles:
 //   router (caller of Ingest)  --SPSC ring-->  shard worker 0..S-1
@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -40,24 +39,6 @@
 
 namespace prompt {
 
-/// \brief How per-key frequency state is tracked during ingest.
-enum class KeyMode {
-  /// Exact per-key state for every distinct key (the paper's §2.2.4
-  /// position). Memory is O(distinct keys).
-  kExact,
-  /// Heavy-hitter mode (DESIGN.md §17): a Space-Saving sketch bounds exact
-  /// state to the head; tail tuples flow through hash buckets with no
-  /// per-key state. Memory is O(sketch capacity + tuples).
-  kSketch,
-};
-
-/// Canonical lowercase name ("exact" / "sketch") for flags and logs.
-const char* KeyModeName(KeyMode mode);
-
-/// Parses "exact" / "sketch". Returns false on unknown names, leaving *out
-/// untouched.
-bool ParseKeyMode(std::string_view name, KeyMode* out);
-
 /// \brief Batching-phase ingest configuration. This is the grouped options
 /// block exposed as `EngineOptions::ingest` (and mirrored by the receiver
 /// and multi-tenant engine); the pipeline itself consumes it directly.
@@ -69,15 +50,12 @@ struct IngestOptions {
   /// Per-shard SPSC ring capacity (rounded up to a power of two). A full
   /// ring blocks the router — back-pressure toward the source.
   size_t ring_capacity = 16 * 1024;
-  /// Which Alg. 1 implementation every shard runs (flat columnar by
-  /// default; the exact kinds produce bit-identical sealed output).
-  /// Ignored when key_mode == kSketch, which forces the sketch accumulator.
-  AccumulatorKind accumulator = AccumulatorKind::kFlat;
-  /// Exact vs heavy-hitter ingest. kSketch overrides `accumulator` with
-  /// AccumulatorKind::kSketch on every shard; the per-shard sketches are
-  /// folded into global batch telemetry at the seal barrier and the
-  /// per-shard tail buckets are stitched bucket-by-bucket (same tail hash on
-  /// every shard, so bucket i holds the same key slice everywhere).
+  /// Exact vs heavy-hitter ingest, and with it the Alg. 1 implementation
+  /// every shard runs (MakeAccumulator(key_mode)). Under kSketch the
+  /// per-shard sketches are folded into global batch telemetry at the seal
+  /// barrier and the per-shard tail buckets are stitched bucket-by-bucket
+  /// (same tail hash on every shard, so bucket i holds the same key slice
+  /// everywhere).
   KeyMode key_mode = KeyMode::kExact;
   /// Base (whole-batch) Alg. 1 options — the budget / N_est / K_avg
   /// overrides. Each shard receives a proportionally scaled copy:

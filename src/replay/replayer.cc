@@ -1,5 +1,6 @@
 #include "replay/replayer.h"
 
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <sstream>
@@ -22,10 +23,37 @@ namespace {
 
 namespace fs = std::filesystem;
 
-Result<AccumulatorKind> AccumulatorKindFromName(const std::string& name) {
-  if (name == "flat") return AccumulatorKind::kFlat;
-  if (name == "legacy") return AccumulatorKind::kLegacyChain;
-  return Status::Invalid("replay: unknown accumulator kind '" + name + "'");
+// Manifest keys naming the Alg. 1 implementation. The engine writes "flat"
+// to both; journals recorded while the implementation was selectable may say
+// "legacy" (the HTable + count-tree transcription, now a test-only oracle).
+// Its sealed batches were bit-identical to the flat accumulator's, so those
+// journals replay on flat and their manifests are compared after one
+// mapping (LegacyAccumulatorAsFlat).
+JournalManifest LegacyAccumulatorAsFlat(const JournalManifest& m) {
+  JournalManifest out;
+  for (const auto& [key, value] : m.entries()) {
+    const bool selector =
+        key == "partitioner.accumulator" || key == "ingest.accumulator";
+    out.Set(key, selector && value == "legacy" ? "flat" : value);
+  }
+  return out;
+}
+
+Status CheckAccumulatorKey(const JournalManifest& m, const std::string& key) {
+  const std::string name = m.Get(key, "flat");
+  if (name == "flat" || name == "legacy") return Status::OK();
+  return Status::Invalid("replay: unknown " + key + " '" + name +
+                         "' (expected 'flat' or 'legacy')");
+}
+
+Result<TimeMicros> BatchIntervalFromManifest(const JournalManifest& m,
+                                             TimeMicros fallback) {
+  const TimeMicros interval = m.GetInt("batch_interval", fallback);
+  if (interval <= 0) {
+    return Status::Invalid("replay: batch_interval must be > 0, got " +
+                           std::to_string(interval));
+  }
+  return interval;
 }
 
 Result<std::vector<PartitionerType>> CandidatesFromCsv(const std::string& csv) {
@@ -63,10 +91,8 @@ CostModelParams CostFromManifest(const JournalManifest& m) {
 
 Result<PartitionerConfig> PartitionerConfigFromManifest(
     const JournalManifest& m) {
+  PROMPT_RETURN_NOT_OK(CheckAccumulatorKey(m, "partitioner.accumulator"));
   PartitionerConfig config;
-  PROMPT_ASSIGN_OR_RETURN(
-      config.prompt.accumulator_kind,
-      AccumulatorKindFromName(m.Get("partitioner.accumulator", "flat")));
   config.prompt.post_sort = m.GetBool("partitioner.post_sort", false);
   config.cam_candidates = static_cast<uint32_t>(
       m.GetUint("partitioner.cam_candidates", config.cam_candidates));
@@ -92,12 +118,21 @@ Status AdaptFromManifest(const JournalManifest& m, AdaptiveOptions* a) {
 }
 
 Status IngestFromManifest(const JournalManifest& m, IngestOptions* ingest) {
-  ingest->shards = static_cast<uint32_t>(m.GetUint("ingest.shards", 1));
-  ingest->ring_capacity =
-      static_cast<size_t>(m.GetUint("ingest.ring_capacity", 16 * 1024));
-  PROMPT_ASSIGN_OR_RETURN(
-      ingest->accumulator,
-      AccumulatorKindFromName(m.Get("ingest.accumulator", "flat")));
+  // The pipeline PROMPT_CHECKs these ranges; a hostile manifest must get a
+  // Status instead of an abort.
+  const uint64_t shards = m.GetUint("ingest.shards", 1);
+  if (shards < 1 || shards > UINT32_MAX) {
+    return Status::Invalid("replay: ingest.shards must be >= 1, got " +
+                           m.Get("ingest.shards", ""));
+  }
+  ingest->shards = static_cast<uint32_t>(shards);
+  const uint64_t ring_capacity = m.GetUint("ingest.ring_capacity", 16 * 1024);
+  if (ring_capacity < 2) {
+    return Status::Invalid("replay: ingest.ring_capacity must be >= 2, got " +
+                           m.Get("ingest.ring_capacity", ""));
+  }
+  ingest->ring_capacity = static_cast<size_t>(ring_capacity);
+  PROMPT_RETURN_NOT_OK(CheckAccumulatorKey(m, "ingest.accumulator"));
   const std::string key_mode = m.Get("ingest.key_mode", "exact");
   if (!ParseKeyMode(key_mode, &ingest->key_mode)) {
     return Status::Invalid("replay: unknown ingest.key_mode '" + key_mode +
@@ -160,7 +195,8 @@ Status FaultsFromManifest(const JournalManifest& m, FaultOptions* faults) {
 Result<EngineOptions> SingleOptionsFromManifest(const JournalManifest& m,
                                                 const std::string& store_dir) {
   EngineOptions o;
-  o.batch_interval = m.GetInt("batch_interval", o.batch_interval);
+  PROMPT_ASSIGN_OR_RETURN(o.batch_interval,
+                          BatchIntervalFromManifest(m, o.batch_interval));
   o.map_tasks = static_cast<uint32_t>(m.GetUint("map_tasks", o.map_tasks));
   o.reduce_tasks =
       static_cast<uint32_t>(m.GetUint("reduce_tasks", o.reduce_tasks));
@@ -237,7 +273,8 @@ Result<JobSpec> JobFromManifest(const JournalManifest& m) {
 Result<MultiTenantEngineOptions> MultiOptionsFromManifest(
     const JournalManifest& m, const std::string& store_dir) {
   MultiTenantEngineOptions o;
-  o.batch_interval = m.GetInt("batch_interval", o.batch_interval);
+  PROMPT_ASSIGN_OR_RETURN(o.batch_interval,
+                          BatchIntervalFromManifest(m, o.batch_interval));
   o.total_slots = static_cast<uint32_t>(m.GetUint("total_slots", o.total_slots));
   o.map_tasks = static_cast<uint32_t>(m.GetUint("map_tasks", o.map_tasks));
   o.reduce_tasks =
@@ -344,6 +381,10 @@ Result<ReplayResult> ReplayJournal(const ReplayOptions& options) {
 
   PROMPT_ASSIGN_OR_RETURN(JournalData recorded,
                           ReadJournal(options.journal_dir));
+  recorded.manifest = LegacyAccumulatorAsFlat(recorded.manifest);
+  for (JournalAttempt& attempt : recorded.attempts) {
+    attempt.manifest = LegacyAccumulatorAsFlat(attempt.manifest);
+  }
 
   ReplayResult result;
   result.mode = recorded.manifest.Get("mode", "single");

@@ -32,7 +32,7 @@ std::vector<Tuple> PaperExampleTuples() {
 }
 
 TEST(FfdPlanTest, PacksTightButFragmentsMore) {
-  auto acc_ptr = MakeAccumulator(AccumulatorKind::kFlat);
+  auto acc_ptr = MakeAccumulator(KeyMode::kExact);
   auto& acc = *acc_ptr;
   auto tuples = PaperExampleTuples();
   auto sealed = Accumulate(acc, tuples, kStart, kEnd);
@@ -50,7 +50,7 @@ TEST(FfdPlanTest, PacksTightButFragmentsMore) {
 }
 
 TEST(FragMinPlanTest, FragmentsAtMostBlocksMinusOneKeys) {
-  auto acc_ptr = MakeAccumulator(AccumulatorKind::kFlat);
+  auto acc_ptr = MakeAccumulator(KeyMode::kExact);
   auto& acc = *acc_ptr;
   auto tuples = ZipfTuples(20000, 300, 1.2, kStart, kEnd);
   auto sealed = Accumulate(acc, tuples, kStart, kEnd);
@@ -62,7 +62,7 @@ TEST(FragMinPlanTest, FragmentsAtMostBlocksMinusOneKeys) {
 
 TEST(FragMinPlanTest, CardinalityIsImbalanced) {
   // The price of minimal fragmentation: late blocks collect the small keys.
-  auto acc_ptr = MakeAccumulator(AccumulatorKind::kFlat);
+  auto acc_ptr = MakeAccumulator(KeyMode::kExact);
   auto& acc = *acc_ptr;
   auto tuples = ZipfTuples(30000, 3000, 1.3, kStart, kEnd);
   auto sealed = Accumulate(acc, tuples, kStart, kEnd);
@@ -74,7 +74,7 @@ TEST(FragMinPlanTest, CardinalityIsImbalanced) {
 }
 
 TEST(BpfiPlansTest, BothConserveTuples) {
-  auto acc_ptr = MakeAccumulator(AccumulatorKind::kFlat);
+  auto acc_ptr = MakeAccumulator(KeyMode::kExact);
   auto& acc = *acc_ptr;
   auto tuples = ZipfTuples(10000, 150, 1.4, kStart, kEnd);
   auto sealed = Accumulate(acc, tuples, kStart, kEnd);
@@ -100,7 +100,7 @@ TEST(BpfiPartitionerTest, AdapterRunsFullPipeline) {
 TEST(PromptVsBaselinesTest, PromptBalancesAllThreeObjectives) {
   // The Fig. 6 trade-off: Prompt should be at-or-near FFD's size balance,
   // near FragMin's fragmentation, and better than both on cardinality.
-  auto acc_ptr = MakeAccumulator(AccumulatorKind::kFlat);
+  auto acc_ptr = MakeAccumulator(KeyMode::kExact);
   auto& acc = *acc_ptr;
   auto tuples = ZipfTuples(40000, 800, 1.5, kStart, kEnd);
   auto sealed = Accumulate(acc, tuples, kStart, kEnd);

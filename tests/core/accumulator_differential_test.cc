@@ -1,5 +1,6 @@
-// Differential fuzz between the two Accumulator implementations: the legacy
-// CountTree chain and the flat columnar rewrite must be BIT-IDENTICAL in
+// Differential fuzz between the two exact Accumulator implementations: the
+// Alg. 1 reference (HTable chains + CountTree, tests/reference/) and the
+// production flat columnar accumulator must be BIT-IDENTICAL in
 // every observable output — the quasi-sorted run sequence, the per-key tuple
 // chains, both seal variants, and the downstream Alg. 2 partitions built
 // from the sealed batch. This is the tentpole acceptance gate: any
@@ -13,6 +14,7 @@
 
 #include "core/accumulator_api.h"
 #include "core/prompt_partitioner.h"
+#include "reference/legacy_chain_accumulator.h"
 #include "testing/test_helpers.h"
 
 namespace prompt {
@@ -123,10 +125,10 @@ struct SealedRun {
   AccumulatedBatch batch;
 };
 
-SealedRun RunSeal(AccumulatorKind kind, const std::vector<Tuple>& tuples,
+SealedRun RunSeal(ExactImpl impl, const std::vector<Tuple>& tuples,
                   AccumulatorOptions opts, bool post_sort) {
   SealedRun run;
-  run.acc = MakeAccumulator(kind, opts);
+  run.acc = MakeExactAccumulator(impl, opts);
   run.acc->Begin(kStart, kEnd);
   for (const Tuple& t : tuples) run.acc->OnTuple(t);
   run.batch = post_sort ? run.acc->SealWithPostSort() : run.acc->Seal();
@@ -140,8 +142,8 @@ TEST(AccumulatorDifferentialTest, SealIsBitIdenticalAcrossWorkloads) {
       opts.budget = budget;
       const std::string ctx = w.name + " budget=" + std::to_string(budget);
       auto legacy =
-          RunSeal(AccumulatorKind::kLegacyChain, w.tuples, opts, /*post=*/false);
-      auto flat = RunSeal(AccumulatorKind::kFlat, w.tuples, opts, /*post=*/false);
+          RunSeal(ExactImpl::kLegacy, w.tuples, opts, /*post=*/false);
+      auto flat = RunSeal(ExactImpl::kFlat, w.tuples, opts, /*post=*/false);
       ExpectBatchesBitIdentical(legacy.batch, flat.batch, ctx);
     }
   }
@@ -151,8 +153,8 @@ TEST(AccumulatorDifferentialTest, PostSortSealIsBitIdentical) {
   for (const Workload& w : Workloads()) {
     AccumulatorOptions opts;
     auto legacy =
-        RunSeal(AccumulatorKind::kLegacyChain, w.tuples, opts, /*post=*/true);
-    auto flat = RunSeal(AccumulatorKind::kFlat, w.tuples, opts, /*post=*/true);
+        RunSeal(ExactImpl::kLegacy, w.tuples, opts, /*post=*/true);
+    auto flat = RunSeal(ExactImpl::kFlat, w.tuples, opts, /*post=*/true);
     ExpectBatchesBitIdentical(legacy.batch, flat.batch, w.name + " post_sort");
   }
 }
@@ -163,8 +165,8 @@ TEST(AccumulatorDifferentialTest, SealedPartitionsAreBitIdentical) {
   for (const Workload& w : Workloads()) {
     AccumulatorOptions opts;
     auto legacy =
-        RunSeal(AccumulatorKind::kLegacyChain, w.tuples, opts, /*post=*/false);
-    auto flat = RunSeal(AccumulatorKind::kFlat, w.tuples, opts, /*post=*/false);
+        RunSeal(ExactImpl::kLegacy, w.tuples, opts, /*post=*/false);
+    auto flat = RunSeal(ExactImpl::kFlat, w.tuples, opts, /*post=*/false);
     for (uint32_t blocks : {1u, 4u, 16u}) {
       const std::string ctx = w.name + " blocks=" + std::to_string(blocks);
       auto batch_a = MaterializePlan(legacy.batch,
@@ -193,8 +195,8 @@ TEST(AccumulatorDifferentialTest, RandomizedOptionSweep) {
         ZipfTuples(n, cardinality, z, kStart, kEnd, 1000 + round);
     const std::string ctx = "round " + std::to_string(round);
     auto legacy =
-        RunSeal(AccumulatorKind::kLegacyChain, tuples, opts, /*post=*/false);
-    auto flat = RunSeal(AccumulatorKind::kFlat, tuples, opts, /*post=*/false);
+        RunSeal(ExactImpl::kLegacy, tuples, opts, /*post=*/false);
+    auto flat = RunSeal(ExactImpl::kFlat, tuples, opts, /*post=*/false);
     ExpectBatchesBitIdentical(legacy.batch, flat.batch, ctx);
   }
 }

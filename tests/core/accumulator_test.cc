@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 
+#include "reference/legacy_chain_accumulator.h"
 #include "testing/test_helpers.h"
 
 namespace prompt {
@@ -17,22 +18,23 @@ using testing::ZipfTuples;
 constexpr TimeMicros kStart = 0;
 constexpr TimeMicros kEnd = Seconds(1);
 
-// Every behavioural test runs against both implementations of the
-// Accumulator interface: the legacy CountTree chain and the flat columnar
-// rewrite. The two must be observationally identical (see
-// accumulator_differential_test.cc for the bit-identity fuzz).
-class AccumulatorTest : public ::testing::TestWithParam<AccumulatorKind> {
+// Every behavioural test runs against both exact implementations of the
+// Accumulator interface: the Alg. 1 reference (HTable chains + CountTree,
+// tests/reference/) and the production flat columnar accumulator. The two
+// must be observationally identical (see accumulator_differential_test.cc
+// for the bit-identity fuzz).
+class AccumulatorTest : public ::testing::TestWithParam<ExactImpl> {
  protected:
   std::unique_ptr<Accumulator> Make(AccumulatorOptions opts = {}) const {
-    return MakeAccumulator(GetParam(), opts);
+    return MakeExactAccumulator(GetParam(), opts);
   }
 };
 
 INSTANTIATE_TEST_SUITE_P(Kinds, AccumulatorTest,
-                         ::testing::Values(AccumulatorKind::kLegacyChain,
-                                           AccumulatorKind::kFlat),
+                         ::testing::Values(ExactImpl::kLegacy,
+                                           ExactImpl::kFlat),
                          [](const auto& info) {
-                           return std::string(AccumulatorKindName(info.param));
+                           return std::string(ExactImplName(info.param));
                          });
 
 TEST_P(AccumulatorTest, EmptyBatch) {
@@ -259,23 +261,28 @@ TEST_P(AccumulatorTest, SingleKeyBatch) {
   EXPECT_EQ(batch.keys()[0].count, 1000u);
 }
 
+// KeyMode is the only selector of the Alg. 1 implementation.
 TEST(AccumulatorFactoryTest, KindNamesRoundTrip) {
-  EXPECT_STREQ(AccumulatorKindName(AccumulatorKind::kFlat), "flat");
-  EXPECT_STREQ(AccumulatorKindName(AccumulatorKind::kLegacyChain), "legacy");
-  AccumulatorKind kind;
-  EXPECT_TRUE(ParseAccumulatorKind("flat", &kind));
-  EXPECT_EQ(kind, AccumulatorKind::kFlat);
-  EXPECT_TRUE(ParseAccumulatorKind("legacy", &kind));
-  EXPECT_EQ(kind, AccumulatorKind::kLegacyChain);
-  EXPECT_TRUE(ParseAccumulatorKind("legacy_chain", &kind));
-  EXPECT_EQ(kind, AccumulatorKind::kLegacyChain);
-  EXPECT_FALSE(ParseAccumulatorKind("treap", &kind));
+  EXPECT_STREQ(KeyModeName(KeyMode::kExact), "exact");
+  EXPECT_STREQ(KeyModeName(KeyMode::kSketch), "sketch");
+  KeyMode mode = KeyMode::kSketch;
+  EXPECT_TRUE(ParseKeyMode("exact", &mode));
+  EXPECT_EQ(mode, KeyMode::kExact);
+  EXPECT_TRUE(ParseKeyMode("sketch", &mode));
+  EXPECT_EQ(mode, KeyMode::kSketch);
+  // The retired accumulator names are not key modes; a failed parse leaves
+  // the output untouched.
+  for (const char* retired : {"flat", "legacy", "legacy_chain", "treap"}) {
+    EXPECT_FALSE(ParseKeyMode(retired, &mode)) << retired;
+    EXPECT_EQ(mode, KeyMode::kSketch);
+  }
 }
 
 TEST(AccumulatorFactoryTest, FactoryReportsKindName) {
-  EXPECT_STREQ(MakeAccumulator(AccumulatorKind::kFlat)->name(), "flat");
-  EXPECT_STREQ(MakeAccumulator(AccumulatorKind::kLegacyChain)->name(),
-               "legacy");
+  EXPECT_STREQ(MakeAccumulator(KeyMode::kExact)->name(), "flat");
+  EXPECT_STREQ(MakeAccumulator(KeyMode::kSketch)->name(), "sketch");
+  EXPECT_STREQ(MakeExactAccumulator(ExactImpl::kLegacy)->name(), "legacy");
+  EXPECT_STREQ(MakeExactAccumulator(ExactImpl::kFlat)->name(), "flat");
 }
 
 TEST(TupleStorageViewTest, RowsAndColumnsMaterializeIdentically) {

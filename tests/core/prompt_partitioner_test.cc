@@ -19,7 +19,7 @@ constexpr TimeMicros kStart = 0;
 constexpr TimeMicros kEnd = Seconds(1);
 
 TEST(PromptPlanTest, EmptyBatchYieldsEmptyBlocks) {
-  auto acc_ptr = MakeAccumulator(AccumulatorKind::kFlat);
+  auto acc_ptr = MakeAccumulator(KeyMode::kExact);
   auto& acc = *acc_ptr;
   acc.Begin(kStart, kEnd);
   auto sealed = acc.Seal();
@@ -31,7 +31,7 @@ TEST(PromptPlanTest, EmptyBatchYieldsEmptyBlocks) {
 }
 
 TEST(PromptPlanTest, PlanCoversEveryTupleExactlyOnce) {
-  auto acc_ptr = MakeAccumulator(AccumulatorKind::kFlat);
+  auto acc_ptr = MakeAccumulator(KeyMode::kExact);
   auto& acc = *acc_ptr;
   auto tuples = ZipfTuples(30000, 2000, 1.2, kStart, kEnd);
   auto sealed = Accumulate(acc, tuples, kStart, kEnd);
@@ -49,7 +49,7 @@ TEST(PromptPlanTest, PlanCoversEveryTupleExactlyOnce) {
 }
 
 TEST(PromptPlanTest, MaterializedBatchPreservesKeyHistogram) {
-  auto acc_ptr = MakeAccumulator(AccumulatorKind::kFlat);
+  auto acc_ptr = MakeAccumulator(KeyMode::kExact);
   auto& acc = *acc_ptr;
   auto tuples = ZipfTuples(20000, 500, 1.5, kStart, kEnd);
   auto sealed = Accumulate(acc, tuples, kStart, kEnd);
@@ -61,7 +61,7 @@ TEST(PromptPlanTest, MaterializedBatchPreservesKeyHistogram) {
 }
 
 TEST(PromptPlanTest, BlockSizesAreNearlyEqualUnderHeavySkew) {
-  auto acc_ptr = MakeAccumulator(AccumulatorKind::kFlat);
+  auto acc_ptr = MakeAccumulator(KeyMode::kExact);
   auto& acc = *acc_ptr;
   auto tuples = ZipfTuples(50000, 10000, 1.8, kStart, kEnd);
   auto sealed = Accumulate(acc, tuples, kStart, kEnd);
@@ -76,7 +76,7 @@ TEST(PromptPlanTest, BlockSizesAreNearlyEqualUnderHeavySkew) {
 }
 
 TEST(PromptPlanTest, CardinalityIsBalanced) {
-  auto acc_ptr = MakeAccumulator(AccumulatorKind::kFlat);
+  auto acc_ptr = MakeAccumulator(KeyMode::kExact);
   auto& acc = *acc_ptr;
   auto tuples = ZipfTuples(40000, 4000, 1.0, kStart, kEnd);
   auto sealed = Accumulate(acc, tuples, kStart, kEnd);
@@ -96,7 +96,7 @@ TEST(PromptPlanTest, CardinalityIsBalanced) {
 }
 
 TEST(PromptPlanTest, FragmentationIsLimited) {
-  auto acc_ptr = MakeAccumulator(AccumulatorKind::kFlat);
+  auto acc_ptr = MakeAccumulator(KeyMode::kExact);
   auto& acc = *acc_ptr;
   auto tuples = ZipfTuples(50000, 5000, 1.4, kStart, kEnd);
   auto sealed = Accumulate(acc, tuples, kStart, kEnd);
@@ -112,7 +112,7 @@ TEST(PromptPlanTest, FragmentationIsLimited) {
 }
 
 TEST(PromptPlanTest, SingleBlockTakesEverything) {
-  auto acc_ptr = MakeAccumulator(AccumulatorKind::kFlat);
+  auto acc_ptr = MakeAccumulator(KeyMode::kExact);
   auto& acc = *acc_ptr;
   auto tuples = ZipfTuples(1000, 100, 1.0, kStart, kEnd);
   auto sealed = Accumulate(acc, tuples, kStart, kEnd);
@@ -123,7 +123,7 @@ TEST(PromptPlanTest, SingleBlockTakesEverything) {
 }
 
 TEST(PromptPlanTest, MoreBlocksThanKeys) {
-  auto acc_ptr = MakeAccumulator(AccumulatorKind::kFlat);
+  auto acc_ptr = MakeAccumulator(KeyMode::kExact);
   auto& acc = *acc_ptr;
   acc.Begin(kStart, kEnd);
   for (int i = 0; i < 90; ++i) {
@@ -142,7 +142,7 @@ TEST(PromptPlanTest, MoreBlocksThanKeys) {
 }
 
 TEST(PromptPlanTest, OneGiantKeyIsSpreadAcrossBlocks) {
-  auto acc_ptr = MakeAccumulator(AccumulatorKind::kFlat);
+  auto acc_ptr = MakeAccumulator(KeyMode::kExact);
   auto& acc = *acc_ptr;
   acc.Begin(kStart, kEnd);
   for (int i = 0; i < 10000; ++i) acc.OnTuple(Tuple{kStart + i, 42, 1.0});
@@ -181,7 +181,7 @@ class PromptPlanSweepTest : public ::testing::TestWithParam<PlanSweepParam> {};
 
 TEST_P(PromptPlanSweepTest, InvariantsHold) {
   const auto& p = GetParam();
-  auto acc_ptr = MakeAccumulator(AccumulatorKind::kFlat);
+  auto acc_ptr = MakeAccumulator(KeyMode::kExact);
   auto& acc = *acc_ptr;
   auto tuples = ZipfTuples(p.tuples, p.cardinality, p.z, kStart, kEnd);
   auto sealed = Accumulate(acc, tuples, kStart, kEnd);

@@ -38,12 +38,12 @@ std::map<KeyId, uint64_t> FeedZipf(Accumulator& acc, uint64_t seed, size_t n,
 }
 
 TEST(SketchAccumulatorTest, FactoryAndParse) {
-  AccumulatorKind kind;
-  ASSERT_TRUE(ParseAccumulatorKind("sketch", &kind));
-  EXPECT_EQ(kind, AccumulatorKind::kSketch);
-  auto acc = MakeAccumulator(AccumulatorKind::kSketch);
+  KeyMode mode = KeyMode::kExact;
+  ASSERT_TRUE(ParseKeyMode("sketch", &mode));
+  EXPECT_EQ(mode, KeyMode::kSketch);
+  auto acc = MakeAccumulator(mode);
   EXPECT_STREQ(acc->name(), "sketch");
-  EXPECT_STREQ(AccumulatorKindName(AccumulatorKind::kSketch), "sketch");
+  EXPECT_STREQ(KeyModeName(KeyMode::kSketch), "sketch");
 }
 
 TEST(SketchAccumulatorTest, EveryTupleReachableExactlyOnce) {
@@ -251,7 +251,7 @@ TEST(SketchPartitionPlanTest, TailBucketsMaterializeOnceAndSplitCorrectly) {
 TEST(SketchPartitionPlanTest, ExactBatchPlanUnchangedByTailSupport) {
   // An exact accumulator's batch has no tail: the plan must carry no tail
   // assignments and materialize identically to the pre-sketch behavior.
-  auto acc = MakeAccumulator(AccumulatorKind::kFlat);
+  auto acc = MakeAccumulator(KeyMode::kExact);
   acc->Begin(0, 1000000);
   Rng rng(5);
   ZipfSampler zipf(500, 1.0);

@@ -2,14 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "baselines/online_partitioners.h"
+#include "common/hash.h"
 #include "core/prompt_partitioner.h"
 #include "engine/receiver.h"
+#include "ingest/merge.h"
+#include "reference/legacy_chain_accumulator.h"
 #include "workload/sources.h"
 
 namespace prompt {
@@ -80,14 +85,62 @@ BatchImage Image(const AccumulatedBatch& batch) {
   return img;
 }
 
-class ParallelIngestPipelineTest
-    : public ::testing::TestWithParam<AccumulatorKind> {};
+// The flat pipeline's merged batch rebuilt outside the pipeline: an exact
+// implementation runs on each shard's routed sub-stream (HashKey(key) % S,
+// options scaled by 1/S like the pipeline's own shards) and MergeShardRuns
+// interleaves the shard outputs. The shard accumulators own the tuple
+// storage the sealed batches chain into, so they live here too.
+struct ShardedReference {
+  std::vector<std::unique_ptr<Accumulator>> shards;
+  std::vector<AccumulatedBatch> sealed;
+  BatchImage image;
+};
+
+ShardedReference BuildShardedReference(ExactImpl impl,
+                                       const std::vector<Tuple>& stream,
+                                       uint32_t shards, TimeMicros start,
+                                       TimeMicros end) {
+  AccumulatorOptions scaled;
+  scaled.estimated_tuples =
+      std::max<uint64_t>(1, scaled.estimated_tuples / shards);
+  scaled.avg_keys = std::max<uint64_t>(1, scaled.avg_keys / shards);
+  ShardedReference ref;
+  for (uint32_t s = 0; s < shards; ++s) {
+    ref.shards.push_back(MakeExactAccumulator(impl, scaled));
+    ref.shards.back()->Begin(start, end);
+  }
+  for (const Tuple& t : stream) {
+    ref.shards[HashKey(t.key) % shards]->OnTuple(t);
+  }
+  for (auto& acc : ref.shards) ref.sealed.push_back(acc->Seal());
+
+  // Shards own disjoint keys, so each merged run chains into exactly one
+  // shard's storage.
+  std::vector<std::span<const SortedKeyRun>> runs;
+  std::map<KeyId, const AccumulatedBatch*> owner;
+  for (const AccumulatedBatch& batch : ref.sealed) {
+    runs.emplace_back(batch.keys());
+    for (const SortedKeyRun& run : batch.keys()) owner[run.key] = &batch;
+  }
+  for (const SortedKeyRun& run : MergeShardRuns(std::move(runs))) {
+    ref.image.runs.emplace_back(run.key, run.count);
+    owner.at(run.key)->ForEachTuple(run, 0, run.count, [&](const Tuple& t) {
+      ref.image.chained.push_back(t);
+    });
+  }
+  return ref;
+}
+
+// Parameter: the exact implementation the (always flat) pipeline is checked
+// against — the Alg. 1 reference or the production flat accumulator.
+class ParallelIngestPipelineTest : public ::testing::TestWithParam<ExactImpl> {
+};
 
 INSTANTIATE_TEST_SUITE_P(Kinds, ParallelIngestPipelineTest,
-                         ::testing::Values(AccumulatorKind::kLegacyChain,
-                                           AccumulatorKind::kFlat),
+                         ::testing::Values(ExactImpl::kLegacy,
+                                           ExactImpl::kFlat),
                          [](const auto& info) {
-                           return std::string(AccumulatorKindName(info.param));
+                           return std::string(ExactImplName(info.param));
                          });
 
 // Tentpole acceptance: for any shard count the merged batch's per-key counts
@@ -98,7 +151,7 @@ TEST_P(ParallelIngestPipelineTest, MergedCountsMatchSingleAccumulator) {
   const TimeMicros start = 0, end = Seconds(1);
   const auto stream = MakeStream(20000, 400, 7, start, end);
 
-  auto reference = MakeAccumulator(GetParam());
+  auto reference = MakeExactAccumulator(GetParam());
   reference->Begin(start, end);
   for (const Tuple& t : stream) reference->OnTuple(t);
   const auto expected = KeyCounts(reference->Seal());
@@ -107,7 +160,6 @@ TEST_P(ParallelIngestPipelineTest, MergedCountsMatchSingleAccumulator) {
     IngestOptions opts;
     opts.shards = shards;
     opts.ring_capacity = 256;  // small ring: exercises back-pressure
-    opts.accumulator = GetParam();
     ParallelIngestPipeline pipeline(opts);
     pipeline.BeginBatch(start, end);
     for (const Tuple& t : stream) pipeline.Ingest(t);
@@ -135,39 +187,39 @@ TEST_P(ParallelIngestPipelineTest, MergedCountsMatchSingleAccumulator) {
   }
 }
 
-// Shard invariance across accumulator kinds: at every shard count the flat
-// pipeline's merged batch is bit-identical to the legacy pipeline's —
-// identical run sequence and identical chained tuples.
+// Shard invariance: at every shard count the flat pipeline's merged batch is
+// bit-identical — identical run sequence and identical chained tuples — to
+// the sharded reference built from the Alg. 1 oracle, and to the one built
+// from the production flat accumulator.
 TEST(ParallelIngestPipelineDifferentialTest, FlatMatchesLegacyAtEveryShardCount) {
   const TimeMicros start = 0, end = Seconds(1);
   const auto stream = MakeStream(30000, 800, 13, start, end);
 
   for (uint32_t shards : {1u, 2u, 3u, 4u}) {
-    auto run = [&](AccumulatorKind kind) {
-      IngestOptions opts;
-      opts.shards = shards;
-      opts.accumulator = kind;
-      ParallelIngestPipeline pipeline(opts);
-      pipeline.BeginBatch(start, end);
-      for (const Tuple& t : stream) pipeline.Ingest(t);
-      return Image(pipeline.SealBatch());
-    };
-    const BatchImage legacy = run(AccumulatorKind::kLegacyChain);
-    const BatchImage flat = run(AccumulatorKind::kFlat);
-    EXPECT_TRUE(flat == legacy) << "shards=" << shards;
+    IngestOptions opts;
+    opts.shards = shards;
+    ParallelIngestPipeline pipeline(opts);
+    pipeline.BeginBatch(start, end);
+    for (const Tuple& t : stream) pipeline.Ingest(t);
+    const BatchImage flat = Image(pipeline.SealBatch());
+    for (ExactImpl impl : {ExactImpl::kLegacy, ExactImpl::kFlat}) {
+      const ShardedReference ref =
+          BuildShardedReference(impl, stream, shards, start, end);
+      EXPECT_TRUE(flat == ref.image)
+          << "shards=" << shards << " reference=" << ExactImplName(impl);
+    }
   }
 }
 
 TEST_P(ParallelIngestPipelineTest, MultipleBatchesReuseWorkers) {
   IngestOptions opts;
   opts.shards = 3;
-  opts.accumulator = GetParam();
   ParallelIngestPipeline pipeline(opts);
   for (int b = 0; b < 4; ++b) {
     const TimeMicros start = Seconds(b), end = Seconds(b + 1);
     const auto stream =
         MakeStream(5000, 100, 100 + static_cast<uint64_t>(b), start, end);
-    auto reference = MakeAccumulator(GetParam());
+    auto reference = MakeExactAccumulator(GetParam());
     reference->Begin(start, end);
     for (const Tuple& t : stream) reference->OnTuple(t);
     const auto expected = KeyCounts(reference->Seal());
@@ -182,13 +234,12 @@ TEST_P(ParallelIngestPipelineTest, MultipleBatchesReuseWorkers) {
 TEST_P(ParallelIngestPipelineTest, EmptyBatch) {
   IngestOptions opts;
   opts.shards = 4;
-  opts.accumulator = GetParam();
   ParallelIngestPipeline pipeline(opts);
   pipeline.BeginBatch(0, Seconds(1));
   const AccumulatedBatch& merged = pipeline.SealBatch();
   EXPECT_EQ(merged.num_tuples(), 0u);
   EXPECT_TRUE(merged.keys().empty());
-  // And a non-empty batch right after still works.
+  // And a non-empty batch right after still works, matching the reference.
   pipeline.BeginBatch(Seconds(1), Seconds(2));
   Tuple t;
   t.ts = Seconds(1);
@@ -198,12 +249,14 @@ TEST_P(ParallelIngestPipelineTest, EmptyBatch) {
   EXPECT_EQ(merged2.num_tuples(), 1u);
   ASSERT_EQ(merged2.keys().size(), 1u);
   EXPECT_EQ(merged2.keys()[0].key, 42u);
+  EXPECT_TRUE(Image(merged2) ==
+              BuildShardedReference(GetParam(), {t}, 4, Seconds(1), Seconds(2))
+                  .image);
 }
 
 TEST_P(ParallelIngestPipelineTest, ShardStatsCoverAllTuples) {
   IngestOptions opts;
   opts.shards = 4;
-  opts.accumulator = GetParam();
   ParallelIngestPipeline pipeline(opts);
   const auto stream = MakeStream(10000, 1000, 3, 0, Seconds(1));
   pipeline.BeginBatch(0, Seconds(1));
@@ -218,6 +271,15 @@ TEST_P(ParallelIngestPipelineTest, ShardStatsCoverAllTuples) {
   EXPECT_EQ(tuples, stream.size());
   EXPECT_GT(keys, 0u);
   EXPECT_GE(ShardLoadImbalance(m), 1.0);
+  // Per shard, the stats match the reference run on that shard's routed
+  // sub-stream.
+  const ShardedReference ref =
+      BuildShardedReference(GetParam(), stream, 4, 0, Seconds(1));
+  ASSERT_EQ(m.shards.size(), ref.shards.size());
+  for (size_t s = 0; s < m.shards.size(); ++s) {
+    EXPECT_EQ(m.shards[s].tuples, ref.shards[s]->num_tuples()) << "shard " << s;
+    EXPECT_EQ(m.shards[s].keys, ref.shards[s]->num_keys()) << "shard " << s;
+  }
 }
 
 // --- Sketch (heavy-hitter) mode ---

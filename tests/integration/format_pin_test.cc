@@ -1,10 +1,11 @@
 // Format pins: checked-in bytes that every on-disk codec must keep reading
 // and reproducing exactly. tests/testdata/format_pins/ holds a tiny durable
-// store directory, a tiny single-query run journal and a tiny two-tenant
-// run journal recorded by promptctl (see the README there); the golden hex below pins EncodeBatch and
-// WindowState::Checkpoint on fixed inputs. A codec refactor that changes a
-// single byte on disk fails here — old store directories must still
-// recover and old journals must still replay.
+// store directory, a tiny single-query run journal, a tiny two-tenant run
+// journal and a run journal recorded with the retired legacy Alg. 1
+// accumulator, all by promptctl (see the README there); the golden hex
+// below pins EncodeBatch and WindowState::Checkpoint on fixed inputs. A
+// codec refactor that changes a single byte on disk fails here — old store
+// directories must still recover and old journals must still replay.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -243,6 +244,61 @@ TEST(FormatPinTest, MultiTenantJournalFixtureReplaysByteForByte) {
   EXPECT_EQ(replay->diff.first_divergent_batch, UINT64_MAX);
   EXPECT_EQ(ReadFile(options.output_dir + "/seg-000000.log"),
             ReadFile(kPins + "/journal_multi/seg-000000.log"));
+}
+
+// Recorded while Alg. 1 was still selectable, with the literal HTable +
+// CountTree transcription (manifest: partitioner.accumulator=legacy,
+// ingest.accumulator=legacy, 2 ingest shards). That implementation now lives
+// only in the test tree; the journal must replay on the flat accumulator with
+// zero divergent batches, and its manifest must round-trip once the replayer
+// maps the retired name to "flat".
+TEST(FormatPinTest, LegacyAccumulatorJournalReplaysOnFlat) {
+  const std::string dir = CopyFixture("journal_legacy");
+  auto journal = ReadJournal(dir);
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  EXPECT_EQ(journal->torn_records, 0u);
+  ASSERT_EQ(journal->attempts.size(), 1u);
+  EXPECT_EQ(journal->attempts[0].tuples.size(), 319u);  // 118 + 120 + 81
+  EXPECT_EQ(journal->attempts[0].published_batches(), 3u);
+  EXPECT_EQ(journal->manifest.Get("partitioner.accumulator", ""), "legacy");
+  EXPECT_EQ(journal->manifest.Get("ingest.accumulator", ""), "legacy");
+  EXPECT_EQ(journal->manifest.Get("ingest.shards", ""), "2");
+
+  ReplayOptions options;
+  options.journal_dir = dir;
+  options.output_dir =
+      ::testing::TempDir() + "/format_pin_journal_legacy.replay";
+  std::filesystem::remove_all(options.output_dir);
+  auto replay = ReplayJournal(options);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  EXPECT_TRUE(replay->manifest_match);
+  EXPECT_TRUE(replay->BitIdentical()) << replay->diff.summary;
+  EXPECT_TRUE(replay->diff.notes.empty());
+  EXPECT_EQ(replay->diff.identical_batches, 3u);
+  EXPECT_EQ(replay->diff.first_divergent_batch, UINT64_MAX);
+
+  // The re-recorded journal names the flat accumulator and otherwise holds
+  // the recorded manifest and tuple stream unchanged.
+  auto replayed = ReadJournal(options.output_dir);
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  const auto& recorded_entries = journal->manifest.entries();
+  const auto& replayed_entries = replayed->manifest.entries();
+  ASSERT_EQ(replayed_entries.size(), recorded_entries.size());
+  for (size_t i = 0; i < recorded_entries.size(); ++i) {
+    const auto& [key, value] = recorded_entries[i];
+    EXPECT_EQ(replayed_entries[i].first, key);
+    const bool selector =
+        key == "partitioner.accumulator" || key == "ingest.accumulator";
+    EXPECT_EQ(replayed_entries[i].second, selector ? "flat" : value) << key;
+  }
+  const std::vector<Tuple> recorded_tuples = journal->AllTuples();
+  const std::vector<Tuple> replayed_tuples = replayed->AllTuples();
+  ASSERT_EQ(replayed_tuples.size(), recorded_tuples.size());
+  for (size_t i = 0; i < recorded_tuples.size(); ++i) {
+    EXPECT_EQ(replayed_tuples[i].ts, recorded_tuples[i].ts) << i;
+    EXPECT_EQ(replayed_tuples[i].key, recorded_tuples[i].key) << i;
+    EXPECT_EQ(replayed_tuples[i].value, recorded_tuples[i].value) << i;
+  }
 }
 
 }  // namespace

@@ -336,5 +336,92 @@ TEST(ReplayDiffTest, PerturbedRerunPinsTheFirstDivergentBatch) {
   EXPECT_EQ(same.identical_batches, 8u);
 }
 
+// --- Hostile manifests ---
+
+/// `m` with every `key` entry's value replaced by `value`.
+JournalManifest WithValue(const JournalManifest& m, const std::string& key,
+                          const std::string& value) {
+  JournalManifest out;
+  for (const auto& [k, v] : m.entries()) out.Set(k, k == key ? value : v);
+  return out;
+}
+
+/// Replays a journal holding nothing but `manifest` (JournalWriter::Open
+/// appends it plus the run-start marker): option parsing is the whole run.
+Result<ReplayResult> ReplayManifestOnly(const std::string& name,
+                                        const JournalManifest& manifest) {
+  JournalOptions journal;
+  journal.dir = FreshDir(name);
+  {
+    auto writer = JournalWriter::Open(journal, manifest);
+    if (!writer.ok()) return writer.status();
+  }
+  ReplayOptions replay;
+  replay.journal_dir = journal.dir;
+  replay.output_dir = FreshDir(name + ".out");
+  return ReplayJournal(replay);
+}
+
+// One edited manifest value each. Out-of-range ingest geometry and batch
+// intervals used to reach a PROMPT_CHECK in the ingest pipeline or the
+// engine constructor and abort the replaying process; unknown Alg. 1
+// selectors were never accepted. Every one must come back as Invalid, in
+// both engine modes.
+TEST(ReplayManifestTest, OutOfRangeValuesReturnInvalidInsteadOfAborting) {
+  std::vector<std::pair<std::string, JournalManifest>> recorded;
+  {
+    const std::string dir = FreshDir("hostile_single");
+    auto source = MakeSource(61);
+    EngineOptions opts = RecordOptions(dir);
+    opts.ingest.shards = 2;
+    MicroBatchEngine engine(opts, JobSpec::WordCount(4),
+                            CreatePartitioner(PartitionerType::kPrompt),
+                            source.get());
+    ASSERT_TRUE(engine.init_status().ok());
+    engine.Run(2);
+  }
+  {
+    auto specs = ParseQueryFile(
+        "TENANT all WEIGHT 1 TECHNIQUE Prompt QUERY SELECT COUNT WINDOW 1S\n");
+    ASSERT_TRUE(specs.ok()) << specs.status().message();
+    MultiTenantEngineOptions opts;
+    opts.batch_interval = kInterval;
+    opts.ingest.shards = 2;
+    opts.journal.dir = FreshDir("hostile_multi");
+    auto source = MakeSource(67);
+    auto engine = MultiTenantEngine::Create(
+        opts, std::move(specs).ValueUnsafe(), source.get());
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    (*engine)->Run(2);
+  }
+  for (const char* name : {"hostile_single", "hostile_multi"}) {
+    auto journal = ReadJournal(::testing::TempDir() + "/" + name);
+    ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+    ASSERT_EQ(journal->manifest.Get("ingest.shards", ""), "2");
+    recorded.emplace_back(name, journal->manifest);
+  }
+
+  const std::vector<std::pair<std::string, std::string>> edits = {
+      {"ingest.ring_capacity", "1"},   {"ingest.shards", "0"},
+      {"ingest.shards", "-1"},         {"batch_interval", "0"},
+      {"batch_interval", "-1000"},     {"partitioner.accumulator", "sketch"},
+      {"ingest.accumulator", "sketch"},
+  };
+  for (const auto& [mode, manifest] : recorded) {
+    // The unedited manifest is a valid (zero-batch) run.
+    auto clean = ReplayManifestOnly(mode + "_clean", manifest);
+    ASSERT_TRUE(clean.ok()) << mode << ": " << clean.status().ToString();
+    for (const auto& [key, value] : edits) {
+      const std::string ctx = mode + " " + key + "=" + value;
+      ASSERT_NE(manifest.Find(key), nullptr) << ctx;
+      auto result =
+          ReplayManifestOnly(mode + "_edit", WithValue(manifest, key, value));
+      ASSERT_FALSE(result.ok()) << ctx;
+      EXPECT_TRUE(result.status().IsInvalid())
+          << ctx << ": " << result.status().ToString();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace prompt

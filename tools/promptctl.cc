@@ -206,9 +206,9 @@ int RunReplay(const std::string& journal_dir, const std::string& record_dir) {
 int RunMultiTenant(const std::string& queries_path, DatasetId dataset,
                    double rate, int batches, int tasks, double zipf,
                    double scale, int seed, int ingest_shards,
-                   AccumulatorKind accumulator, KeyMode key_mode,
-                   int sketch_capacity, double map_us, bool metrics,
-                   int metrics_every, const std::string& metrics_path,
+                   KeyMode key_mode, int sketch_capacity, double map_us,
+                   bool metrics, int metrics_every,
+                   const std::string& metrics_path,
                    int serve_port, int serve_hold_ms,
                    const std::string& autopsy_path,
                    const StoreOptions& store, const std::string& scenario_spec,
@@ -233,13 +233,11 @@ int RunMultiTenant(const std::string& queries_path, DatasetId dataset,
   options.map_tasks = static_cast<uint32_t>(tasks);
   options.reduce_tasks = static_cast<uint32_t>(tasks);
   options.ingest.shards = static_cast<uint32_t>(ingest_shards);
-  options.ingest.accumulator = accumulator;
   options.ingest.key_mode = key_mode;
   if (sketch_capacity > 0) {
     options.ingest.accumulator_options.sketch.capacity =
         static_cast<size_t>(sketch_capacity);
   }
-  options.adapt_base.config.prompt.accumulator_kind = accumulator;
   options.cost.map_per_tuple_us = map_us;
   options.cost.map_per_key_us = map_us / 4;
   options.cost.reduce_per_tuple_us = map_us / 8;
@@ -373,11 +371,6 @@ int main(int argc, char** argv) {
   if (*ingest_shards < 1) {
     return Fail(Status::Invalid("--ingest_shards must be >= 1"));
   }
-  const std::string accumulator_name = flags.GetString("accumulator", "flat");
-  AccumulatorKind accumulator = AccumulatorKind::kFlat;
-  if (!ParseAccumulatorKind(accumulator_name, &accumulator)) {
-    return Fail(Status::Invalid("--accumulator must be 'flat' or 'legacy'"));
-  }
   const std::string key_mode_name = flags.GetString("key_mode", "exact");
   KeyMode key_mode = KeyMode::kExact;
   if (!ParseKeyMode(key_mode_name, &key_mode)) {
@@ -480,8 +473,8 @@ int main(int argc, char** argv) {
   if (!queries_path.empty()) {
     // Multi-tenant serving: the spec file replaces --query/--technique.
     return RunMultiTenant(queries_path, *dataset, *rate, *batches, *tasks,
-                          *zipf, *scale, *seed, *ingest_shards, accumulator,
-                          key_mode, *sketch_capacity, *map_us, *metrics,
+                          *zipf, *scale, *seed, *ingest_shards, key_mode,
+                          *sketch_capacity, *map_us, *metrics,
                           *metrics_every, metrics_path, *serve_port,
                           *serve_hold_ms, autopsy_path, store_options,
                           scenario_spec, record_dir);
@@ -524,20 +517,11 @@ int main(int argc, char** argv) {
     options.obs.collect_partition_metrics = true;
   }
   options.ingest.shards = static_cast<uint32_t>(*ingest_shards);
-  options.ingest.accumulator = accumulator;
   options.ingest.key_mode = key_mode;
   if (*sketch_capacity > 0) {
     options.ingest.accumulator_options.sketch.capacity =
         static_cast<size_t>(*sketch_capacity);
   }
-  // Keep the partitioner's own accumulator (single-threaded path) and any
-  // adaptive-switch replacements on the same implementation.
-  PartitionerConfig partitioner_config;
-  partitioner_config.prompt.accumulator_kind = accumulator;
-  // adapt.config is also what the flight recorder's manifest records as the
-  // construction config, so keep it literally the config passed to
-  // CreatePartitioner below.
-  options.adapt.config = partitioner_config;
   options.cost.map_per_tuple_us = *map_us;
   options.cost.map_per_key_us = *map_us / 4;
   options.cost.reduce_per_tuple_us = *map_us / 8;
@@ -603,7 +587,7 @@ int main(int argc, char** argv) {
   }
 
   MicroBatchEngine engine(options, query->job,
-                          CreatePartitioner(*technique, partitioner_config),
+                          CreatePartitioner(*technique, options.adapt.config),
                           source.get());
   if (const Status& st = engine.observability()->init_status(); !st.ok()) {
     return Fail(st);
@@ -648,10 +632,10 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "dataset=%s technique=%s accumulator=%s rate=%.0f/s interval=%lldms "
+      "dataset=%s technique=%s key_mode=%s rate=%.0f/s interval=%lldms "
       "query=\"%s\"\n\n",
       DatasetName(*dataset), PartitionerTypeName(*technique),
-      AccumulatorKindName(accumulator), *rate,
+      KeyModeName(key_mode), *rate,
       static_cast<long long>(query->slide / 1000), query_text.c_str());
 
   if (*crash_after >= 0) {
