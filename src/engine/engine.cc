@@ -346,8 +346,13 @@ MicroBatchEngine::MicroBatchEngine(EngineOptions options,
   current_interval_ = options_.batch_interval;
   // Sketch mode needs the pipeline even at one shard: the partitioner's own
   // accumulator is exact, and only the pipeline swaps in the sketch kind.
-  if (options_.ingest.shards > 1 ||
-      options_.ingest.key_mode == KeyMode::kSketch) {
+  // Out-of-range ingest options fail construction before any ring or
+  // thread exists, and RunQueries then refuses to run.
+  if (Status valid = ValidateIngestOptions(options_.ingest); !valid.ok()) {
+    PROMPT_LOG(kError) << valid.ToString();
+    if (init_status_.ok()) init_status_ = std::move(valid);
+  } else if (options_.ingest.shards > 1 ||
+             options_.ingest.key_mode == KeyMode::kSketch) {
     ingest_ = std::make_unique<ParallelIngestPipeline>(options_.ingest);
     ingest_->BindMetrics(registry);
   }
@@ -891,6 +896,9 @@ std::vector<TenantRunResult> MicroBatchEngine::RunQueries(
     results[qi].id = queries_[qi].ctx->id();
     results[qi].summary.batches.reserve(num_batches);
   }
+  // An engine without its configured ingest pipeline (init_status() says
+  // why) has nothing to batch with.
+  if (!ValidateIngestOptions(options_.ingest).ok()) return results;
   // A crashed engine refuses to run: no heartbeats, no run callbacks.
   const bool observe = !crashed_ && obs_->active();
   if (observe) obs_->OnRunStart(num_batches);

@@ -15,9 +15,11 @@ StreamReceiver::StreamReceiver(TupleSource* source,
   PROMPT_CHECK(options_.early_release_frac >= 0 &&
                options_.early_release_frac < 1);
   // Sketch mode requires the pipeline even at one shard: only the pipeline
-  // swaps the accumulator kind, the partitioner's own stays exact.
-  if (options_.ingest.shards > 1 ||
-      options_.ingest.key_mode == KeyMode::kSketch) {
+  // swaps the accumulator kind, the partitioner's own stays exact. Invalid
+  // ingest options build nothing; Start() reports them.
+  if (ValidateIngestOptions(options_.ingest).ok() &&
+      (options_.ingest.shards > 1 ||
+       options_.ingest.key_mode == KeyMode::kSketch)) {
     pipeline_ = std::make_unique<ParallelIngestPipeline>(options_.ingest);
   }
 }
@@ -25,6 +27,7 @@ StreamReceiver::StreamReceiver(TupleSource* source,
 StreamReceiver::~StreamReceiver() { Stop(); }
 
 Status StreamReceiver::Start() {
+  PROMPT_RETURN_NOT_OK(ValidateIngestOptions(options_.ingest));
   bool expected = false;
   if (!started_.compare_exchange_strong(expected, true)) {
     return Status::Invalid("receiver already started");

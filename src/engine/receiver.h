@@ -62,7 +62,8 @@ class StreamReceiver {
   ~StreamReceiver();
   PROMPT_DISALLOW_COPY_AND_ASSIGN(StreamReceiver);
 
-  /// Launches the producer thread. May be called once.
+  /// Launches the producer thread. May be called once. Returns Invalid,
+  /// starting nothing, when the ingest options fail ValidateIngestOptions.
   Status Start();
 
   /// Blocks until the current batch's cut-off has been ingested, then seals

@@ -24,18 +24,36 @@ AccumulatorOptions ScaleForShard(AccumulatorOptions base, uint32_t shards) {
 
 }  // namespace
 
+Status ValidateIngestOptions(const IngestOptions& options) {
+  if (options.shards < 1 || options.shards > kMaxIngestShards) {
+    return Status::Invalid("ingest.shards must be in [1, " +
+                           std::to_string(kMaxIngestShards) + "], got " +
+                           std::to_string(options.shards));
+  }
+  if (options.ring_capacity < 2 ||
+      options.ring_capacity > kMaxIngestRingCapacity) {
+    return Status::Invalid("ingest.ring_capacity must be in [2, " +
+                           std::to_string(kMaxIngestRingCapacity) +
+                           "] tuples, got " +
+                           std::to_string(options.ring_capacity));
+  }
+  return Status::OK();
+}
+
 ParallelIngestPipeline::ParallelIngestPipeline(IngestOptions options)
     : options_(options) {
-  PROMPT_CHECK(options_.shards >= 1);
-  PROMPT_CHECK(options_.ring_capacity >= 2);
+  PROMPT_CHECK(ValidateIngestOptions(options_).ok());
   shard_options_ =
       ScaleForShard(options_.accumulator_options, options_.shards);
+  // The ring counts chunk messages; SpscRing rounds up to a power of two.
+  const size_t ring_slots = std::max<size_t>(
+      2, (options_.ring_capacity + kChunk - 1) / kChunk);
   shards_.reserve(options_.shards);
   for (uint32_t i = 0; i < options_.shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(
-        options_.ring_capacity,
-        MakeAccumulator(options_.key_mode, shard_options_)));
-    shards_.back()->stats.ring_capacity = shards_.back()->ring.capacity();
+        ring_slots, MakeAccumulator(options_.key_mode, shard_options_)));
+    shards_.back()->stats.ring_capacity =
+        shards_.back()->ring.capacity() * kChunk;
   }
   for (uint32_t i = 0; i < options_.shards; ++i) {
     shards_[i]->worker = std::thread([this, i] { WorkerLoop(i); });
@@ -107,9 +125,7 @@ void ParallelIngestPipeline::BeginBatch(TimeMicros start, TimeMicros end) {
   IngestMsg begin;
   begin.kind = IngestMsg::kBegin;
   for (uint32_t i = 0; i < num_shards(); ++i) {
-    Shard& shard = *shards_[i];
-    shard.routed_this_batch = 0;
-    shard.stats.ring_high_water = 0;
+    shards_[i]->stats.ring_high_water = 0;
     // Batch params and scaled options are published above; the ring push's
     // release store orders them before the worker's kBegin.
     PushMsg(i, begin);
@@ -121,28 +137,33 @@ void ParallelIngestPipeline::BeginBatch(TimeMicros start, TimeMicros end) {
 void ParallelIngestPipeline::Ingest(const Tuple& t) {
   const uint32_t s =
       static_cast<uint32_t>(HashKey(t.key) % num_shards());
+  IngestMsg& stage = shards_[s]->stage;
+  stage.tuples[stage.count++] = t;
+  if (stage.count == kChunk) FlushStage(s);
+}
+
+void ParallelIngestPipeline::FlushStage(uint32_t s) {
   Shard& shard = *shards_[s];
-  IngestMsg msg;
-  msg.tuple = t;
-  msg.kind = IngestMsg::kTuple;
-  PushMsg(s, msg);
-  ++shard.routed_this_batch;
-  // Occupancy is sampled, not tracked per push: reading both ring indices
-  // every tuple would reintroduce the shared-line traffic the cached-index
-  // ring avoids.
-  if ((++shard.ring_occupancy_probe & 255u) == 0) {
-    shard.stats.ring_high_water =
-        std::max<uint64_t>(shard.stats.ring_high_water, shard.ring.size());
-  }
+  if (shard.stage.count == 0) return;
+  PushMsg(s, shard.stage);
+  shard.stage.count = 0;
+  // Occupancy is sampled once per chunk push, in tuples: reading both ring
+  // indices is a shared-line access the cached-index ring otherwise avoids.
+  shard.stats.ring_high_water = std::max<uint64_t>(
+      shard.stats.ring_high_water, shard.ring.size() * kChunk);
 }
 
 const AccumulatedBatch& ParallelIngestPipeline::SealBatch() {
   PROMPT_CHECK(batch_open_);
   metrics_.ingest_wall = ingest_watch_.ElapsedMicros();
 
+  // Ring FIFO order puts each shard's last partial chunk ahead of its seal.
   IngestMsg seal;
   seal.kind = IngestMsg::kSeal;
-  for (uint32_t i = 0; i < num_shards(); ++i) PushMsg(i, seal);
+  for (uint32_t i = 0; i < num_shards(); ++i) {
+    FlushStage(i);
+    PushMsg(i, seal);
+  }
 
   // Phase 1: the seal barrier. Every worker drains its ring (FIFO order
   // guarantees it has consumed all of this batch's tuples), seals its
@@ -268,8 +289,10 @@ void ParallelIngestPipeline::WorkerLoop(uint32_t index) {
   Shard& shard = *shards_[index];
   SpinBackoff backoff;
   uint64_t my_epoch = 0;
+  // One message reused across pops: constructing one per iteration would
+  // zero kChunk tuples on every spin.
+  IngestMsg msg;
   for (;;) {
-    IngestMsg msg;
     if (!shard.ring.TryPop(&msg)) {
       if (stopped_) return;
       backoff.Pause();
@@ -278,7 +301,9 @@ void ParallelIngestPipeline::WorkerLoop(uint32_t index) {
     backoff.Reset();
     switch (msg.kind) {
       case IngestMsg::kTuple:
-        shard.accumulator->OnTuple(msg.tuple);
+        for (uint32_t i = 0; i < msg.count; ++i) {
+          shard.accumulator->OnTuple(msg.tuples[i]);
+        }
         break;
       case IngestMsg::kBegin:
         shard.accumulator->set_options(shard_options_);
@@ -323,8 +348,6 @@ void ParallelIngestPipeline::WorkerLoop(uint32_t index) {
         }
         break;
       }
-      default:
-        break;
     }
   }
 }

@@ -13,10 +13,13 @@
 //
 // Thread roles:
 //   router (caller of Ingest)  --SPSC ring-->  shard worker 0..S-1
-// Each ring is strictly single-producer/single-consumer. Batch control
-// (Begin/Seal/Stop) travels in-band through the rings, so a worker has
-// consumed every tuple of a batch before it sees the batch's seal message —
-// no separate flush protocol.
+// Each ring is strictly single-producer/single-consumer and carries tuples
+// in chunks: the router stages up to kChunk tuples per shard and pushes them
+// as one message, so the release store and the pop are paid once per chunk
+// instead of once per tuple. Batch control (Begin/Seal) travels in-band
+// through the same rings, and the router flushes every partial chunk before
+// it pushes a seal, so a worker has consumed every tuple of a batch before
+// it sees the batch's seal message.
 #pragma once
 
 #include <atomic>
@@ -29,6 +32,7 @@
 
 #include "common/clock.h"
 #include "common/macros.h"
+#include "common/status.h"
 #include "core/accumulator_api.h"
 #include "core/partitioner.h"
 #include "ingest/spsc_ring.h"
@@ -47,8 +51,11 @@ struct IngestOptions {
   /// router thread at 1; the pipeline itself accepts 1 and still exercises
   /// the full route/seal/merge path on a single worker thread.
   uint32_t shards = 1;
-  /// Per-shard SPSC ring capacity (rounded up to a power of two). A full
-  /// ring blocks the router — back-pressure toward the source.
+  /// Per-shard SPSC ring capacity in tuples. The ring holds
+  /// pow2(max(2, ceil(ring_capacity / kChunk))) messages of
+  /// ParallelIngestPipeline::kChunk tuples each, so it fits at least this
+  /// many tuples. A full ring blocks the router — back-pressure toward the
+  /// source.
   size_t ring_capacity = 16 * 1024;
   /// Exact vs heavy-hitter ingest, and with it the Alg. 1 implementation
   /// every shard runs (MakeAccumulator(key_mode)). Under kSketch the
@@ -67,6 +74,19 @@ struct IngestOptions {
 /// Historical name of the pipeline's config, now the engine-wide grouping.
 using ParallelIngestOptions = IngestOptions;
 
+/// Upper bounds on the options that size threads and rings. They are fixed,
+/// not derived from the host, so a journal recorded on one host replays on
+/// any other.
+inline constexpr uint32_t kMaxIngestShards = 256;
+inline constexpr size_t kMaxIngestRingCapacity = size_t{1} << 22;
+
+/// \brief The one range check for ingest options: shards in
+/// [1, kMaxIngestShards] and ring_capacity in [2, kMaxIngestRingCapacity]
+/// tuples. Every entry point that takes these values from outside (engine
+/// construction, journal manifests, CLI flags) calls it before any ring is
+/// allocated or any thread started.
+Status ValidateIngestOptions(const IngestOptions& options);
+
 /// \brief S shard workers, each owning a private Accumulator (created via
 /// MakeAccumulator), fed over lock-free SPSC rings; sealed per-shard runs
 /// are k-way merged at the heartbeat into one AccumulatedBatch with exact
@@ -78,6 +98,10 @@ using ParallelIngestOptions = IngestOptions;
 /// mirroring an accumulator's storage lifetime contract.
 class ParallelIngestPipeline {
  public:
+  /// Tuples per ring message.
+  static constexpr uint32_t kChunk = 64;
+
+  /// `options` must pass ValidateIngestOptions.
   explicit ParallelIngestPipeline(IngestOptions options);
   ~ParallelIngestPipeline();
   PROMPT_DISALLOW_COPY_AND_ASSIGN(ParallelIngestPipeline);
@@ -102,14 +126,16 @@ class ParallelIngestPipeline {
   /// Opens a batch interval [start, end) on every shard.
   void BeginBatch(TimeMicros start, TimeMicros end);
 
-  /// Routes one tuple to its shard (hash(key) % S). Blocks (with backoff)
-  /// when the shard's ring is full.
+  /// Routes one tuple to its shard (hash(key) % S) by appending it to the
+  /// shard's staged chunk; a full chunk is pushed to the shard's ring, which
+  /// blocks (with backoff) while the ring is full.
   void Ingest(const Tuple& t);
 
-  /// Seal barrier + merge: stops every shard, waits for their seals,
-  /// rebases the per-shard tuple chains into one merged arena (workers copy
-  /// their segments in parallel) while the router loser-tree-merges the
-  /// quasi-sorted run lists, and returns the combined batch view.
+  /// Seal barrier + merge: flushes every shard's partial chunk, stops every
+  /// shard, waits for their seals, rebases the per-shard tuple chains into
+  /// one merged arena (workers copy their segments in parallel) while the
+  /// router loser-tree-merges the quasi-sorted run lists, and returns the
+  /// combined batch view.
   const AccumulatedBatch& SealBatch();
 
   /// Ingest observability for the batch most recently sealed.
@@ -123,16 +149,18 @@ class ParallelIngestPipeline {
 
  private:
   struct IngestMsg {
-    enum Kind : uint32_t { kTuple = 0, kBegin = 1, kSeal = 2, kStop = 3 };
-    Tuple tuple{};
+    enum Kind : uint32_t { kTuple = 0, kBegin = 1, kSeal = 2 };
     uint32_t kind = kTuple;
+    uint32_t count = 0;  // kTuple: tuples[0, count) are this chunk
+    Tuple tuples[kChunk];
   };
 
   struct Shard {
-    Shard(size_t ring_capacity, std::unique_ptr<Accumulator> acc)
-        : ring(ring_capacity), accumulator(std::move(acc)) {}
+    Shard(size_t ring_slots, std::unique_ptr<Accumulator> acc)
+        : ring(ring_slots), accumulator(std::move(acc)) {}
 
     SpscRing<IngestMsg> ring;
+    IngestMsg stage;  // router-owned: the chunk being filled
     std::thread worker;
     std::unique_ptr<Accumulator> accumulator;
 
@@ -141,13 +169,13 @@ class ParallelIngestPipeline {
     AccumulatedBatch sealed;
     uint64_t arena_offset = 0;  // set by router between barrier phases
     ShardIngestStats stats;
-    uint64_t routed_this_batch = 0;  // router-side counter
-    uint32_t ring_occupancy_probe = 0;
     Counter* tuples_total = nullptr;  // optional instrumentation (router-side)
   };
 
   void WorkerLoop(uint32_t index);
   void PushMsg(uint32_t shard, const IngestMsg& msg);
+  /// Pushes shard `s`'s staged chunk, if any, and samples ring occupancy.
+  void FlushStage(uint32_t s);
 
   IngestOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -1,5 +1,6 @@
 #include "replay/replayer.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -118,20 +119,16 @@ Status AdaptFromManifest(const JournalManifest& m, AdaptiveOptions* a) {
 }
 
 Status IngestFromManifest(const JournalManifest& m, IngestOptions* ingest) {
-  // The pipeline PROMPT_CHECKs these ranges; a hostile manifest must get a
-  // Status instead of an abort.
-  const uint64_t shards = m.GetUint("ingest.shards", 1);
-  if (shards < 1 || shards > UINT32_MAX) {
-    return Status::Invalid("replay: ingest.shards must be >= 1, got " +
-                           m.Get("ingest.shards", ""));
+  // A hostile manifest must get a Status, not a pipeline abort or a
+  // host-sized allocation. A shard count past 32 bits saturates, which the
+  // validator rejects like any other out-of-range count.
+  ingest->shards = static_cast<uint32_t>(
+      std::min<uint64_t>(m.GetUint("ingest.shards", 1), UINT32_MAX));
+  ingest->ring_capacity =
+      static_cast<size_t>(m.GetUint("ingest.ring_capacity", 16 * 1024));
+  if (Status valid = ValidateIngestOptions(*ingest); !valid.ok()) {
+    return Status::Invalid("replay: " + valid.message());
   }
-  ingest->shards = static_cast<uint32_t>(shards);
-  const uint64_t ring_capacity = m.GetUint("ingest.ring_capacity", 16 * 1024);
-  if (ring_capacity < 2) {
-    return Status::Invalid("replay: ingest.ring_capacity must be >= 2, got " +
-                           m.Get("ingest.ring_capacity", ""));
-  }
-  ingest->ring_capacity = static_cast<size_t>(ring_capacity);
   PROMPT_RETURN_NOT_OK(CheckAccumulatorKey(m, "ingest.accumulator"));
   const std::string key_mode = m.Get("ingest.key_mode", "exact");
   if (!ParseKeyMode(key_mode, &ingest->key_mode)) {

@@ -3,15 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <random>
 #include <span>
 #include <vector>
 
+#include "baselines/factory.h"
 #include "baselines/online_partitioners.h"
 #include "common/hash.h"
 #include "core/prompt_partitioner.h"
+#include "engine/engine.h"
 #include "engine/receiver.h"
 #include "ingest/merge.h"
 #include "reference/legacy_chain_accumulator.h"
@@ -282,6 +285,138 @@ TEST_P(ParallelIngestPipelineTest, ShardStatsCoverAllTuples) {
   }
 }
 
+// --- Chunked ring hop ---
+
+// A stream that routes exactly `per_shard` tuples to each of `shards` shards
+// (HashKey(key) % shards, the pipeline's routing), cycling over a few keys
+// per shard, with timestamps spread over [start, end). Per-shard lengths
+// then land exactly on, or one off, a chunk boundary.
+std::vector<Tuple> MakePerShardStream(uint32_t shards, uint64_t per_shard,
+                                      TimeMicros start, TimeMicros end) {
+  constexpr size_t kKeysPerShard = 7;
+  std::vector<std::vector<KeyId>> keys(shards);
+  uint32_t full = 0;
+  for (KeyId k = 0; full < shards; ++k) {
+    auto& mine = keys[HashKey(k) % shards];
+    if (mine.size() == kKeysPerShard) continue;
+    mine.push_back(k);
+    if (mine.size() == kKeysPerShard) ++full;
+  }
+  std::vector<Tuple> tuples;
+  const uint64_t n = per_shard * shards;
+  tuples.reserve(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    const uint64_t s = i % shards, j = i / shards;
+    Tuple t;
+    // Skewed within a shard: slots 0-2 get twice the tuples of slots 3-6.
+    t.key = keys[s][(j % 10) % kKeysPerShard];
+    t.ts = start + static_cast<TimeMicros>(
+                       (static_cast<double>(i) / static_cast<double>(n)) *
+                       static_cast<double>(end - start));
+    t.value = static_cast<double>(i);
+    tuples.push_back(t);
+  }
+  return tuples;
+}
+
+std::map<KeyId, uint64_t> TruthCounts(const std::vector<Tuple>& stream) {
+  std::map<KeyId, uint64_t> counts;
+  for (const Tuple& t : stream) ++counts[t.key];
+  return counts;
+}
+
+// Every shard receives 0, 1, kChunk - 1, kChunk, kChunk + 1 or 10k tuples,
+// at shards {1,2,3,4,8}, through the default ring and through a ring
+// smaller than one chunk (ring_capacity = 2: two chunk slots, so the router
+// blocks on back-pressure). Counts are exact and the merged batch equals
+// the sharded reference bit for bit; the ring statistics stay in tuples.
+TEST(ParallelIngestChunkTest, ChunkBoundariesMatchShardedReference) {
+  const TimeMicros start = 0, end = Seconds(1);
+  const uint64_t chunk = ParallelIngestPipeline::kChunk;
+  for (uint32_t shards : {1u, 2u, 3u, 4u, 8u}) {
+    for (const size_t ring_capacity : {size_t{2}, size_t{16 * 1024}}) {
+      IngestOptions opts;
+      opts.shards = shards;
+      opts.ring_capacity = ring_capacity;
+      ParallelIngestPipeline pipeline(opts);
+      for (const uint64_t per_shard :
+           {uint64_t{0}, uint64_t{1}, chunk - 1, chunk, chunk + 1,
+            uint64_t{10000}}) {
+        const std::string ctx = "shards=" + std::to_string(shards) +
+                                " ring=" + std::to_string(ring_capacity) +
+                                " per_shard=" + std::to_string(per_shard);
+        const auto stream = MakePerShardStream(shards, per_shard, start, end);
+        pipeline.BeginBatch(start, end);
+        for (const Tuple& t : stream) pipeline.Ingest(t);
+        const AccumulatedBatch& merged = pipeline.SealBatch();
+
+        EXPECT_EQ(merged.num_tuples(), stream.size()) << ctx;
+        EXPECT_EQ(KeyCounts(merged), TruthCounts(stream)) << ctx;
+        EXPECT_TRUE(Image(merged) ==
+                    BuildShardedReference(ExactImpl::kFlat, stream, shards,
+                                          start, end)
+                        .image)
+            << ctx;
+        const IngestMetrics& m = pipeline.last_metrics();
+        ASSERT_EQ(m.shards.size(), shards) << ctx;
+        for (const ShardIngestStats& s : m.shards) {
+          EXPECT_EQ(s.tuples, per_shard) << ctx;
+          EXPECT_GE(s.ring_capacity, ring_capacity) << ctx;
+          EXPECT_LE(s.ring_high_water, s.ring_capacity) << ctx;
+        }
+      }
+    }
+  }
+}
+
+// Consecutive batches whose per-shard lengths are never a multiple of the
+// chunk: every seal must flush a partial chunk into its own batch, and no
+// tuple may leak into the next one.
+TEST(ParallelIngestChunkTest, EverySealFlushesAPartialChunk) {
+  const uint64_t chunk = ParallelIngestPipeline::kChunk;
+  IngestOptions opts;
+  opts.shards = 3;
+  opts.ring_capacity = 2;
+  ParallelIngestPipeline pipeline(opts);
+  for (uint64_t b = 0; b < 6; ++b) {
+    const TimeMicros start = Seconds(static_cast<int64_t>(b));
+    const TimeMicros end = Seconds(static_cast<int64_t>(b) + 1);
+    const uint64_t per_shard = b * chunk + 1 + (b * 13) % (chunk - 1);
+    ASSERT_NE(per_shard % chunk, 0u);
+    const auto stream = MakePerShardStream(3, per_shard, start, end);
+    pipeline.BeginBatch(start, end);
+    for (const Tuple& t : stream) pipeline.Ingest(t);
+    const AccumulatedBatch& merged = pipeline.SealBatch();
+    EXPECT_EQ(merged.num_tuples(), stream.size()) << "batch=" << b;
+    EXPECT_TRUE(Image(merged) ==
+                BuildShardedReference(ExactImpl::kFlat, stream, 3, start, end)
+                    .image)
+        << "batch=" << b;
+    for (const ShardIngestStats& s : pipeline.last_metrics().shards) {
+      EXPECT_EQ(s.tuples, per_shard) << "batch=" << b;
+    }
+  }
+}
+
+// ring_capacity stays a tuple count: the ring holds
+// pow2(max(2, ceil(ring_capacity / kChunk))) chunks, reported in tuples.
+TEST(ParallelIngestChunkTest, RingCapacityIsReportedInTuples) {
+  const std::pair<size_t, uint64_t> cases[] = {
+      {2, 128},   {64, 128},   {65, 128},        {129, 256},
+      {1000, 1024}, {16 * 1024, 16 * 1024}, {16 * 1024 + 1, 32 * 1024}};
+  for (const auto& [requested, reported] : cases) {
+    IngestOptions opts;
+    opts.shards = 2;
+    opts.ring_capacity = requested;
+    ParallelIngestPipeline pipeline(opts);
+    pipeline.BeginBatch(0, Seconds(1));
+    pipeline.SealBatch();
+    for (const ShardIngestStats& s : pipeline.last_metrics().shards) {
+      EXPECT_EQ(s.ring_capacity, reported) << "requested=" << requested;
+    }
+  }
+}
+
 // --- Sketch (heavy-hitter) mode ---
 
 // Sketch mode at every shard count: the merged batch conserves all tuples
@@ -293,7 +428,7 @@ TEST(ParallelIngestPipelineSketchTest, TailStitchConservesTuples) {
   std::map<KeyId, uint64_t> truth;
   for (const Tuple& t : stream) ++truth[t.key];
 
-  for (uint32_t shards : {1u, 2u, 4u}) {
+  for (uint32_t shards : {1u, 2u, 4u, 8u}) {
     IngestOptions opts;
     opts.shards = shards;
     opts.key_mode = KeyMode::kSketch;
@@ -495,6 +630,86 @@ TEST(ReceiverSketchModeTest, ConservesTuplesOnBothSealPaths) {
     exact.Stop();
     sketch.Stop();
   }
+}
+
+// --- Option validation ---
+
+size_t ThreadCount() {
+  const std::filesystem::path tasks("/proc/self/task");
+  if (!std::filesystem::is_directory(tasks)) return 0;
+  return static_cast<size_t>(std::distance(
+      std::filesystem::directory_iterator(tasks),
+      std::filesystem::directory_iterator()));
+}
+
+TEST(IngestOptionsValidationTest, BoundsAreInclusive) {
+  IngestOptions opts;
+  EXPECT_TRUE(ValidateIngestOptions(opts).ok());
+  for (uint32_t shards : {1u, kMaxIngestShards}) {
+    opts.shards = shards;
+    EXPECT_TRUE(ValidateIngestOptions(opts).ok()) << shards;
+  }
+  for (uint32_t shards : {0u, kMaxIngestShards + 1, 1000000u, UINT32_MAX}) {
+    opts.shards = shards;
+    EXPECT_TRUE(ValidateIngestOptions(opts).IsInvalid()) << shards;
+  }
+  opts.shards = 1;
+  for (size_t ring : {size_t{2}, kMaxIngestRingCapacity}) {
+    opts.ring_capacity = ring;
+    EXPECT_TRUE(ValidateIngestOptions(opts).ok()) << ring;
+  }
+  for (size_t ring : {size_t{0}, size_t{1}, kMaxIngestRingCapacity + 1,
+                      size_t{100000000000}}) {
+    opts.ring_capacity = ring;
+    EXPECT_TRUE(ValidateIngestOptions(opts).IsInvalid()) << ring;
+  }
+}
+
+// Out-of-range ingest options reach the engine as init_status() = Invalid,
+// with no ring allocated and no shard thread started, and the engine then
+// refuses to run. Under key_mode = sketch the engine builds a pipeline even
+// at shards = 0, so that case reaches the pipeline unless the engine
+// validates first.
+TEST(IngestOptionsValidationTest, EngineReportsInvalidInsteadOfAborting) {
+  struct Case {
+    uint32_t shards;
+    size_t ring_capacity;
+    KeyMode key_mode;
+  };
+  for (const Case& c : {Case{0, 16 * 1024, KeyMode::kSketch},
+                        Case{0, 16 * 1024, KeyMode::kExact},
+                        Case{1000000, 16 * 1024, KeyMode::kExact},
+                        Case{4, size_t{100000000000}, KeyMode::kExact},
+                        Case{2, 1, KeyMode::kSketch}}) {
+    const std::string ctx = "shards=" + std::to_string(c.shards) +
+                            " ring=" + std::to_string(c.ring_capacity);
+    EngineOptions opts;
+    opts.batch_interval = Millis(100);
+    opts.ingest.shards = c.shards;
+    opts.ingest.ring_capacity = c.ring_capacity;
+    opts.ingest.key_mode = c.key_mode;
+    auto source = MakeSource();
+    const size_t threads_before = ThreadCount();
+    MicroBatchEngine engine(opts, JobSpec::WordCount(4),
+                            CreatePartitioner(PartitionerType::kPrompt),
+                            source.get());
+    EXPECT_EQ(ThreadCount(), threads_before) << ctx;
+    EXPECT_TRUE(engine.init_status().IsInvalid())
+        << ctx << ": " << engine.init_status().ToString();
+    EXPECT_TRUE(engine.Run(2).batches.empty()) << ctx;
+  }
+}
+
+TEST(IngestOptionsValidationTest, ReceiverStartReportsInvalid) {
+  auto source = MakeSource();
+  PromptPartitioner partitioner;
+  ReceiverOptions opts;
+  opts.ingest.shards = 1000000;
+  const size_t threads_before = ThreadCount();
+  StreamReceiver receiver(source.get(), &partitioner, opts);
+  EXPECT_TRUE(receiver.Start().IsInvalid());
+  EXPECT_EQ(ThreadCount(), threads_before);
+  EXPECT_FALSE(receiver.NextBatch(4).ok());
 }
 
 }  // namespace

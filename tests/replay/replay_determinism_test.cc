@@ -402,8 +402,13 @@ TEST(ReplayManifestTest, OutOfRangeValuesReturnInvalidInsteadOfAborting) {
   }
 
   const std::vector<std::pair<std::string, std::string>> edits = {
-      {"ingest.ring_capacity", "1"},   {"ingest.shards", "0"},
-      {"ingest.shards", "-1"},         {"batch_interval", "0"},
+      {"ingest.ring_capacity", "1"},
+      {"ingest.ring_capacity", "100000000000"},
+      {"ingest.shards", "0"},
+      {"ingest.shards", "-1"},
+      {"ingest.shards", "1000000"},
+      {"ingest.shards", "4294967297"},  // must not wrap to 1
+      {"batch_interval", "0"},
       {"batch_interval", "-1000"},     {"partitioner.accumulator", "sketch"},
       {"ingest.accumulator", "sketch"},
   };

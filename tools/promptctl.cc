@@ -80,6 +80,7 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -368,8 +369,16 @@ int main(int argc, char** argv) {
   if (!seed.ok()) return Fail(seed.status());
   auto ingest_shards = flags.GetInt("ingest_shards", 1);
   if (!ingest_shards.ok()) return Fail(ingest_shards.status());
-  if (*ingest_shards < 1) {
-    return Fail(Status::Invalid("--ingest_shards must be >= 1"));
+  {
+    // Range-checked here, before either engine mode allocates a ring or
+    // starts a shard thread. Out-of-range int64s saturate into the rejected
+    // range rather than wrapping into it.
+    IngestOptions ingest;
+    ingest.shards = static_cast<uint32_t>(
+        std::clamp<int64_t>(*ingest_shards, 0, UINT32_MAX));
+    if (Status st = ValidateIngestOptions(ingest); !st.ok()) {
+      return Fail(Status::Invalid("--ingest_shards: " + st.message()));
+    }
   }
   const std::string key_mode_name = flags.GetString("key_mode", "exact");
   KeyMode key_mode = KeyMode::kExact;
