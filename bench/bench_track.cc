@@ -10,6 +10,7 @@
 //
 //   bench_track [output.json]     default output: BENCH_prompt.json
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -503,9 +504,26 @@ void TrackReplay(std::vector<Signal>* out) {
   std::filesystem::remove_all(scratch);
 }
 
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
 /// Wall-clock overhead of the telemetry layer (ring + autopsy + exporter)
-/// over a metrics-only run — tracked, not gated.
-double TelemetryOverheadPct() {
+/// over a metrics-only run — tracked, not gated. A single on/off difference
+/// is dominated by host noise, so the signal is the median of per-pair
+/// (on - off) / off ratios over kPairs interleaved pairs, with the leg order
+/// alternating between pairs; the median absolute deviation of those ratios
+/// is reported beside it.
+struct TelemetryOverhead {
+  double median_pct;
+  double mad_pct;
+};
+
+TelemetryOverhead MeasureTelemetryOverhead() {
+  constexpr int kPairs = 15;
+  constexpr int kBatches = 24;
   auto run_once = [](bool telemetry) {
     auto profile = std::make_shared<ConstantRate>(20000.0);
     auto source = MakeDataset(DatasetId::kSynD, profile, /*seed=*/7, 1.0, 0.02);
@@ -525,16 +543,24 @@ double TelemetryOverheadPct() {
                             CreatePartitioner(PartitionerType::kPrompt),
                             source.get());
     Stopwatch watch;
-    engine.Run(8);
-    return watch.ElapsedMicros();
+    engine.Run(kBatches);
+    return static_cast<double>(watch.ElapsedMicros());
   };
-  TimeMicros off = run_once(false), on = run_once(true);
-  for (int i = 0; i < 4; ++i) {
-    off = std::min(off, run_once(false));
-    on = std::min(on, run_once(true));
+  std::vector<double> ratios;
+  for (int i = 0; i < kPairs; ++i) {
+    double off = 0, on = 0;
+    if (i % 2 == 0) {
+      off = run_once(false);
+      on = run_once(true);
+    } else {
+      on = run_once(true);
+      off = run_once(false);
+    }
+    ratios.push_back(100.0 * (on - off) / off);
   }
-  return 100.0 * (static_cast<double>(on) - static_cast<double>(off)) /
-         static_cast<double>(off);
+  const double median = Median(ratios);
+  for (double& r : ratios) r = std::abs(r - median);
+  return {median, Median(ratios)};
 }
 
 void WriteJson(const std::vector<Signal>& signals, const std::string& path) {
@@ -581,7 +607,10 @@ int main(int argc, char** argv) {
   TrackReplay(&signals);
 
   // Ungated wall-clock trend signal: loose tolerance recorded for context.
-  signals.push_back({"telemetry_overhead_pct", TelemetryOverheadPct(), "%",
+  const TelemetryOverhead telemetry = MeasureTelemetryOverhead();
+  signals.push_back({"telemetry_overhead_pct", telemetry.median_pct, "%",
+                     /*gate=*/false, /*tolerance_pct=*/100.0});
+  signals.push_back({"telemetry_overhead_mad_pct", telemetry.mad_pct, "%",
                      /*gate=*/false, /*tolerance_pct=*/100.0});
 
   WriteJson(signals, out_path);

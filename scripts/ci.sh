@@ -259,3 +259,31 @@ replay_round_trip sketch 8 --technique=Prompt --batches=8 --ingest_shards=2 \
   --key_mode=sketch --sketch_capacity=64
 replay_round_trip tenants 16 --batches=8 --ingest_shards=2 \
   --queries=examples/two_tenants.query
+
+# Perfbench correctness smoke: each benchmark workload checks the engine's
+# windows against a per-key reference mid-run and at the end, and fails a
+# batch that is unrecoverable or short. A short untraced run of all four
+# must end with a JSON line reading "correct": true and "failed": 0.
+# perfbench builds its own Release tree under CARGO_TARGET_DIR.
+for workload in zipf_sharded uniform_wide zipf_durable tenants_sketch; do
+  PERF_LOG="${LOG_DIR}/perfbench-${workload}.log"
+  if ! CARGO_TARGET_DIR="${BUILD_DIR}/perfbench-smoke" python3 perfbench/run.py \
+       --workload "${workload}" --seconds 1 --trace 0 > "${PERF_LOG}"; then
+    echo "perfbench smoke (${workload}): run failed, see ${PERF_LOG}" >&2
+    exit 1
+  fi
+  python3 - "${workload}" "${PERF_LOG}" <<'PYEOF'
+import json, sys
+workload, path = sys.argv[1], sys.argv[2]
+lines = [l for l in open(path).read().splitlines() if l.strip()]
+try:
+    doc = json.loads(lines[-1])
+except (IndexError, ValueError):
+    sys.exit(f"perfbench smoke ({workload}): last line is not the JSON result")
+if doc.get("correct") is not True or doc.get("failed") != 0:
+    sys.exit(f"perfbench smoke ({workload}): correct={doc.get('correct')} "
+             f"failed={doc.get('failed')}")
+print(f"perfbench smoke ({workload}): correct over "
+      f"{doc.get('attempted')} checked batches")
+PYEOF
+done

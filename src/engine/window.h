@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/robin_hood_map.h"
 #include "engine/job.h"
 
 namespace prompt {
@@ -19,92 +20,30 @@ namespace prompt {
 class WindowState {
  public:
   WindowState(std::shared_ptr<ReduceFunction> reduce, uint32_t window_batches)
-      : reduce_(std::move(reduce)), window_batches_(window_batches) {}
+      : reduce_(std::move(reduce)),
+        identity_(reduce_->Identity()),
+        window_batches_(window_batches) {}
 
   /// Folds one batch's per-key output into the window, expiring the oldest
   /// batch when the window is full. Invertible aggregates retract the
   /// expired batch with the inverse Reduce; non-invertible ones (MIN/MAX)
   /// recompute the window answer from the retained batch outputs.
-  void AddBatch(std::vector<KV> batch_output) {
-    const bool incremental = reduce_->invertible();
-    if (incremental) {
-      for (const KV& kv : batch_output) {
-        auto [it, inserted] = result_.try_emplace(kv.key, reduce_->Identity());
-        it->second = reduce_->Combine(it->second, kv.value);
-      }
-    }
-    history_.push_back(std::move(batch_output));
-    bool expired = false;
-    if (history_.size() > window_batches_) {
-      if (incremental) {
-        for (const KV& kv : history_.front()) {
-          auto it = result_.find(kv.key);
-          if (it == result_.end()) continue;
-          it->second = reduce_->Inverse(it->second, kv.value);
-          if (it->second == reduce_->Identity()) result_.erase(it);
-        }
-      }
-      history_.pop_front();
-      expired = true;
-    }
-    if (!incremental) {
-      // Recompute only when needed: before the window fills, folding the new
-      // batch is enough; after an expiry the whole window is rebuilt.
-      if (expired) {
-        result_.clear();
-        for (const auto& batch : history_) {
-          for (const KV& kv : batch) {
-            auto [it, inserted] =
-                result_.try_emplace(kv.key, reduce_->Identity());
-            it->second = reduce_->Combine(it->second, kv.value);
-          }
-        }
-      } else {
-        for (const KV& kv : history_.back()) {
-          auto [it, inserted] =
-              result_.try_emplace(kv.key, reduce_->Identity());
-          it->second = reduce_->Combine(it->second, kv.value);
-        }
-      }
-    }
-  }
+  void AddBatch(std::vector<KV> batch_output);
 
   /// Replaces the retained output of one in-window batch with a recomputed
   /// one (§8 replay after its bucket state died with a node). `index` counts
   /// from the oldest retained batch. The window answer is patched by
   /// retracting the old contribution and folding in the new one.
-  Status ReplaceBatch(size_t index, std::vector<KV> batch_output) {
-    if (index >= history_.size()) {
-      return Status::OutOfRange("no batch at window index " +
-                                std::to_string(index));
-    }
-    if (reduce_->invertible()) {
-      for (const KV& kv : history_[index]) {
-        auto it = result_.find(kv.key);
-        if (it == result_.end()) continue;
-        it->second = reduce_->Inverse(it->second, kv.value);
-        if (it->second == reduce_->Identity()) result_.erase(it);
-      }
-      for (const KV& kv : batch_output) {
-        auto [it, inserted] = result_.try_emplace(kv.key, reduce_->Identity());
-        it->second = reduce_->Combine(it->second, kv.value);
-      }
-      history_[index] = std::move(batch_output);
-    } else {
-      history_[index] = std::move(batch_output);
-      result_.clear();
-      for (const auto& batch : history_) {
-        for (const KV& kv : batch) {
-          auto [it, inserted] = result_.try_emplace(kv.key, reduce_->Identity());
-          it->second = reduce_->Combine(it->second, kv.value);
-        }
-      }
-    }
-    return Status::OK();
-  }
+  Status ReplaceBatch(size_t index, std::vector<KV> batch_output);
 
   /// Current window answer: key -> aggregate over in-window batches.
-  const std::unordered_map<KeyId, double>& Result() const { return result_; }
+  ///
+  /// A cached view: the answer lives in a RobinHoodMap, and this map is
+  /// materialised from it on the first call after a mutation. AddBatch,
+  /// ReplaceBatch and Restore invalidate it (and references to its entries).
+  /// Not safe across threads, because a const call may rebuild the view:
+  /// call it from the thread that drives the engine.
+  const std::unordered_map<KeyId, double>& Result() const;
 
   /// Number of batches currently inside the window.
   size_t depth() const { return history_.size(); }
@@ -121,11 +60,29 @@ class WindowState {
   std::string Checkpoint() const;
   Status Restore(const std::string& bytes);
 
+  /// Slot count of the answer's hash table; test observability for its
+  /// memory bound under key churn (the table never shrinks).
+  size_t table_capacity() const { return result_.capacity(); }
+
  private:
+  /// Combines `kv` into its key's aggregate, seeding a new key with the
+  /// Reduce identity (±inf for MIN/MAX, so not the map's default 0).
+  void Fold(const KV& kv);
+  /// Removes `kv` with the inverse Reduce; a key whose aggregate returns to
+  /// the identity leaves the answer.
+  void Retract(const KV& kv);
+  /// Rebuilds the answer from every retained batch (non-invertible path).
+  void Recompute();
+  /// Drops the materialised Result() view, freeing its nodes and buckets.
+  void InvalidateView();
+
   std::shared_ptr<ReduceFunction> reduce_;
+  double identity_;
   uint32_t window_batches_;
   std::deque<std::vector<KV>> history_;
-  std::unordered_map<KeyId, double> result_;
+  RobinHoodMap<double> result_;
+  mutable std::unordered_map<KeyId, double> view_;
+  mutable bool view_valid_ = false;
 };
 
 }  // namespace prompt
