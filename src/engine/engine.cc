@@ -210,6 +210,29 @@ double RunSummary::MeanThroughputTuplesPerSec(TimeMicros interval,
   return static_cast<double>(tuples) / seconds;
 }
 
+Status ValidateEngineOptions(const EngineOptions& options) {
+  if (options.batch_interval <= 0) {
+    return Status::Invalid("batch_interval must be positive, got " +
+                           std::to_string(options.batch_interval) + " us");
+  }
+  for (const auto& [name, value] :
+       {std::pair<const char*, uint32_t>{"map_tasks", options.map_tasks},
+        {"reduce_tasks", options.reduce_tasks},
+        {"cores", options.cores}}) {
+    if (value < 1 || value > kMaxEngineTasks) {
+      return Status::Invalid(std::string(name) + " must be in [1, " +
+                             std::to_string(kMaxEngineTasks) + "], got " +
+                             std::to_string(value));
+    }
+  }
+  // Written so that NaN fails too: it compares false both ways.
+  if (!(options.early_release_frac >= 0 && options.early_release_frac < 1)) {
+    return Status::Invalid("early_release_frac must be in [0, 1), got " +
+                           std::to_string(options.early_release_frac));
+  }
+  return ValidateIngestOptions(options.ingest);
+}
+
 QueryContextOptions QueryOptionsFrom(const EngineOptions& options) {
   QueryContextOptions qc;
   qc.map_tasks = options.map_tasks;
@@ -249,7 +272,14 @@ MicroBatchEngine::MicroBatchEngine(EngineOptions options,
       scheduler_(std::move(scheduler)) {
   PROMPT_CHECK(source_ != nullptr);
   PROMPT_CHECK(!queries.empty());
-  PROMPT_CHECK(options_.batch_interval > 0);
+  // Out-of-range options fail construction before any sink, pool, ring or
+  // thread exists; the engine keeps only its query contexts (so accessors
+  // stay valid), and RunQueries then refuses to run.
+  init_status_ = ValidateEngineOptions(options_);
+  if (!init_status_.ok()) {
+    PROMPT_LOG(kError) << init_status_.ToString();
+    options_.obs = ObservabilityOptions{};
+  }
   const bool tenant_mode = scheduler_ != nullptr;
   if (std::any_of(queries.begin(), queries.end(), [](const QuerySpec& q) {
         return q.options.adapt.enabled;
@@ -297,6 +327,7 @@ MicroBatchEngine::MicroBatchEngine(EngineOptions options,
     queries_.push_back(std::move(q));
   }
   query_ = queries_[0].ctx.get();
+  if (!init_status_.ok()) return;
   if (options_.mode == ExecutionMode::kReal) {
     pool_ = std::make_unique<ThreadPool>(options_.cores);
   }
@@ -346,13 +377,8 @@ MicroBatchEngine::MicroBatchEngine(EngineOptions options,
   current_interval_ = options_.batch_interval;
   // Sketch mode needs the pipeline even at one shard: the partitioner's own
   // accumulator is exact, and only the pipeline swaps in the sketch kind.
-  // Out-of-range ingest options fail construction before any ring or
-  // thread exists, and RunQueries then refuses to run.
-  if (Status valid = ValidateIngestOptions(options_.ingest); !valid.ok()) {
-    PROMPT_LOG(kError) << valid.ToString();
-    if (init_status_.ok()) init_status_ = std::move(valid);
-  } else if (options_.ingest.shards > 1 ||
-             options_.ingest.key_mode == KeyMode::kSketch) {
+  if (options_.ingest.shards > 1 ||
+      options_.ingest.key_mode == KeyMode::kSketch) {
     ingest_ = std::make_unique<ParallelIngestPipeline>(options_.ingest);
     ingest_->BindMetrics(registry);
   }
@@ -896,9 +922,9 @@ std::vector<TenantRunResult> MicroBatchEngine::RunQueries(
     results[qi].id = queries_[qi].ctx->id();
     results[qi].summary.batches.reserve(num_batches);
   }
-  // An engine without its configured ingest pipeline (init_status() says
-  // why) has nothing to batch with.
-  if (!ValidateIngestOptions(options_.ingest).ok()) return results;
+  // An engine built from out-of-range options (init_status() says which)
+  // has no pipeline, pool or cluster to run on.
+  if (!ValidateEngineOptions(options_).ok()) return results;
   // A crashed engine refuses to run: no heartbeats, no run callbacks.
   const bool observe = !crashed_ && obs_->active();
   if (observe) obs_->OnRunStart(num_batches);
@@ -1129,7 +1155,7 @@ std::vector<TenantRunResult> MicroBatchEngine::RunQueries(
     }
     if (crashed_) break;
 
-    // Shared-ingest receiver feedback: the pipeline accumulates every
+    // Shared-ingest estimate feedback: the pipeline accumulates every
     // query's tuples, so its Alg. 1 estimates track the merged totals.
     if (ingest_ != nullptr) ingest_->ObserveSealedBatch();
     if (durable_ != nullptr && options_.store.fsync == FsyncPolicy::kBatch) {

@@ -108,6 +108,20 @@ struct EngineOptions {
   IngestOptions ingest;
 };
 
+/// Upper bound on map_tasks, reduce_tasks and cores: headroom over the
+/// elasticity ceiling callers use (ElasticityOptions::max_map_tasks = 256).
+/// Fixed, not derived from the host, so a journal recorded on a big host
+/// still replays on a small one.
+inline constexpr uint32_t kMaxEngineTasks = 1024;
+
+/// \brief The range check on everything the engine sizes itself from:
+/// batch_interval > 0, map_tasks/reduce_tasks/cores in [1, kMaxEngineTasks],
+/// early_release_frac finite in [0, 1), and ValidateIngestOptions. Returns
+/// Invalid naming the field. The engine constructor reports a failure
+/// through init_status() before allocating anything, and Run then refuses
+/// to run.
+Status ValidateEngineOptions(const EngineOptions& options);
+
 // BatchReport — the per-batch observability record — lives in
 // obs/batch_report.h so report writers and sinks don't depend on the engine.
 

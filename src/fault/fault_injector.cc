@@ -1,32 +1,36 @@
 #include "fault/fault_injector.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 
 namespace prompt {
 
 namespace {
 
-Result<uint64_t> ParseUint(const std::string& text, const char* what) {
-  try {
-    size_t pos = 0;
-    const unsigned long long v = std::stoull(text, &pos);
-    if (pos != text.size()) {
-      return Status::Invalid(std::string("fault schedule: bad ") + what +
-                             " '" + text + "'");
-    }
-    return static_cast<uint64_t>(v);
-  } catch (...) {
+/// Parses a decimal integer in [0, max]: digits only, so a sign or a blank
+/// is an error, and a value past `max` is refused rather than truncated into
+/// the field it fills.
+Result<uint64_t> ParseUint(const std::string& text, const char* what,
+                           uint64_t max = UINT64_MAX) {
+  uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v > max) {
     return Status::Invalid(std::string("fault schedule: bad ") + what + " '" +
-                           text + "'");
+                           text + "' (want an integer in [0, " +
+                           std::to_string(max) + "])");
   }
+  return v;
 }
 
 Result<double> ParseProb(const std::string& text) {
   try {
     size_t pos = 0;
     const double v = std::stod(text, &pos);
-    if (pos != text.size() || v < 0.0 || v > 1.0) {
+    // Written so that NaN fails too: it compares false both ways.
+    if (pos != text.size() || !(v >= 0.0 && v <= 1.0)) {
       return Status::Invalid("fault schedule: probability must be in [0,1], "
                              "got '" + text + "'");
     }
@@ -51,8 +55,8 @@ Status ParseTargetAt(const std::string& text, FaultEvent* event) {
     return Status::Invalid("fault schedule: expected <id>@<batch> in '" +
                            text + "'");
   }
-  PROMPT_ASSIGN_OR_RETURN(uint64_t target,
-                          ParseUint(text.substr(0, at), "target id"));
+  PROMPT_ASSIGN_OR_RETURN(
+      uint64_t target, ParseUint(text.substr(0, at), "target id", UINT32_MAX));
   std::string rest = text.substr(at + 1);
   const size_t dot = rest.find('.');
   if (dot != std::string::npos) {
@@ -85,10 +89,12 @@ Status ParseRandomParams(const std::string& body, RandomFaultOptions* random) {
     } else if (key == "seed") {
       PROMPT_ASSIGN_OR_RETURN(random->seed, ParseUint(value, "seed"));
     } else if (key == "max_kills") {
-      PROMPT_ASSIGN_OR_RETURN(uint64_t n, ParseUint(value, "max_kills"));
+      PROMPT_ASSIGN_OR_RETURN(uint64_t n,
+                              ParseUint(value, "max_kills", UINT32_MAX));
       random->max_kills = static_cast<uint32_t>(n);
     } else if (key == "revive_after") {
-      PROMPT_ASSIGN_OR_RETURN(uint64_t n, ParseUint(value, "revive_after"));
+      PROMPT_ASSIGN_OR_RETURN(uint64_t n,
+                              ParseUint(value, "revive_after", UINT32_MAX));
       random->revive_after = static_cast<uint32_t>(n);
     } else {
       return Status::Invalid("fault schedule: unknown random param '" + key +
@@ -155,16 +161,17 @@ Result<FaultOptions> ParseFaultSchedule(const std::string& spec) {
             "fault schedule: delay expects delay:<task>@<batch>:<micros>");
       }
       PROMPT_RETURN_NOT_OK(ParseTargetAt(body.substr(0, amount), &event));
-      PROMPT_ASSIGN_OR_RETURN(uint64_t micros,
-                              ParseUint(body.substr(amount + 1), "delay"));
+      PROMPT_ASSIGN_OR_RETURN(
+          uint64_t micros,
+          ParseUint(body.substr(amount + 1), "delay", INT64_MAX));
       event.delay = static_cast<TimeMicros>(micros);
     } else if (kind == "fail") {
       event.kind = FaultKind::kFailTask;
       std::string head = body;
       const size_t times = body.rfind(':');
       if (times != std::string::npos) {
-        PROMPT_ASSIGN_OR_RETURN(uint64_t n,
-                                ParseUint(body.substr(times + 1), "times"));
+        PROMPT_ASSIGN_OR_RETURN(
+            uint64_t n, ParseUint(body.substr(times + 1), "times", UINT32_MAX));
         event.times = static_cast<uint32_t>(n);
         head = body.substr(0, times);
       }

@@ -44,8 +44,8 @@
 namespace prompt {
 
 /// \brief Batching-phase ingest configuration. This is the grouped options
-/// block exposed as `EngineOptions::ingest` (and mirrored by the receiver
-/// and multi-tenant engine); the pipeline itself consumes it directly.
+/// block exposed as `EngineOptions::ingest` (and mirrored by the
+/// multi-tenant engine); the pipeline itself consumes it directly.
 struct IngestOptions {
   /// Shard workers (>= 1). The engine runs the accumulator inline on the
   /// router thread at 1; the pipeline itself accepts 1 and still exercises
@@ -110,7 +110,7 @@ class ParallelIngestPipeline {
     return static_cast<uint32_t>(shards_.size());
   }
 
-  /// Receiver EWMA feedback (N_est, K_avg), divided across shards at the
+  /// Alg. 1 estimate feedback (N_est, K_avg), divided across shards at the
   /// next BeginBatch.
   void UpdateEstimates(uint64_t estimated_tuples, uint64_t avg_keys);
 
@@ -214,8 +214,9 @@ class ParallelIngestPipeline {
   std::atomic<bool> stopped_{false};
 };
 
-/// \brief Seals a merged batch (SealBatch's view) through `partitioner` as
-/// batch `batch_id`, keeping only the keys `filter` matches. Techniques with
+/// \brief The engine's seal step on the sharded or sketch path: seals a
+/// merged batch (SealBatch's view) through `partitioner` as batch
+/// `batch_id`, keeping only the keys `filter` matches. Techniques with
 /// the quasi-sorted fast path consume an unfiltered merge whole
 /// (SealAccumulated); otherwise the filter's slice is replayed through
 /// OnTuple in quasi-sorted order — whole key runs, then sketch-mode tail

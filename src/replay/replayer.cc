@@ -47,14 +47,15 @@ Status CheckAccumulatorKey(const JournalManifest& m, const std::string& key) {
                          "' (expected 'flat' or 'legacy')");
 }
 
-Result<TimeMicros> BatchIntervalFromManifest(const JournalManifest& m,
-                                             TimeMicros fallback) {
-  const TimeMicros interval = m.GetInt("batch_interval", fallback);
-  if (interval <= 0) {
-    return Status::Invalid("replay: batch_interval must be > 0, got " +
-                           std::to_string(interval));
-  }
-  return interval;
+/// A 32-bit count. Values past 32 bits saturate instead of wrapping into the
+/// valid range. Range checks are the engine's (ValidateEngineOptions, run by
+/// the engine constructor and MultiTenantEngine::Create before anything is
+/// allocated), so a hostile manifest replays as Invalid, never as an abort
+/// or a host-sized allocation.
+uint32_t CountFromManifest(const JournalManifest& m, const std::string& key,
+                           uint32_t fallback) {
+  return static_cast<uint32_t>(
+      std::min<uint64_t>(m.GetUint(key, fallback), UINT32_MAX));
 }
 
 Result<std::vector<PartitionerType>> CandidatesFromCsv(const std::string& csv) {
@@ -119,16 +120,9 @@ Status AdaptFromManifest(const JournalManifest& m, AdaptiveOptions* a) {
 }
 
 Status IngestFromManifest(const JournalManifest& m, IngestOptions* ingest) {
-  // A hostile manifest must get a Status, not a pipeline abort or a
-  // host-sized allocation. A shard count past 32 bits saturates, which the
-  // validator rejects like any other out-of-range count.
-  ingest->shards = static_cast<uint32_t>(
-      std::min<uint64_t>(m.GetUint("ingest.shards", 1), UINT32_MAX));
+  ingest->shards = CountFromManifest(m, "ingest.shards", 1);
   ingest->ring_capacity =
       static_cast<size_t>(m.GetUint("ingest.ring_capacity", 16 * 1024));
-  if (Status valid = ValidateIngestOptions(*ingest); !valid.ok()) {
-    return Status::Invalid("replay: " + valid.message());
-  }
   PROMPT_RETURN_NOT_OK(CheckAccumulatorKey(m, "ingest.accumulator"));
   const std::string key_mode = m.Get("ingest.key_mode", "exact");
   if (!ParseKeyMode(key_mode, &ingest->key_mode)) {
@@ -192,12 +186,10 @@ Status FaultsFromManifest(const JournalManifest& m, FaultOptions* faults) {
 Result<EngineOptions> SingleOptionsFromManifest(const JournalManifest& m,
                                                 const std::string& store_dir) {
   EngineOptions o;
-  PROMPT_ASSIGN_OR_RETURN(o.batch_interval,
-                          BatchIntervalFromManifest(m, o.batch_interval));
-  o.map_tasks = static_cast<uint32_t>(m.GetUint("map_tasks", o.map_tasks));
-  o.reduce_tasks =
-      static_cast<uint32_t>(m.GetUint("reduce_tasks", o.reduce_tasks));
-  o.cores = static_cast<uint32_t>(m.GetUint("cores", o.cores));
+  o.batch_interval = m.GetInt("batch_interval", o.batch_interval);
+  o.map_tasks = CountFromManifest(m, "map_tasks", o.map_tasks);
+  o.reduce_tasks = CountFromManifest(m, "reduce_tasks", o.reduce_tasks);
+  o.cores = CountFromManifest(m, "cores", o.cores);
   o.cores_track_tasks = m.GetBool("cores_track_tasks", o.cores_track_tasks);
   o.early_release_frac = m.GetDouble("early_release_frac", o.early_release_frac);
   o.cost = CostFromManifest(m);
@@ -270,12 +262,10 @@ Result<JobSpec> JobFromManifest(const JournalManifest& m) {
 Result<MultiTenantEngineOptions> MultiOptionsFromManifest(
     const JournalManifest& m, const std::string& store_dir) {
   MultiTenantEngineOptions o;
-  PROMPT_ASSIGN_OR_RETURN(o.batch_interval,
-                          BatchIntervalFromManifest(m, o.batch_interval));
-  o.total_slots = static_cast<uint32_t>(m.GetUint("total_slots", o.total_slots));
-  o.map_tasks = static_cast<uint32_t>(m.GetUint("map_tasks", o.map_tasks));
-  o.reduce_tasks =
-      static_cast<uint32_t>(m.GetUint("reduce_tasks", o.reduce_tasks));
+  o.batch_interval = m.GetInt("batch_interval", o.batch_interval);
+  o.total_slots = CountFromManifest(m, "total_slots", o.total_slots);
+  o.map_tasks = CountFromManifest(m, "map_tasks", o.map_tasks);
+  o.reduce_tasks = CountFromManifest(m, "reduce_tasks", o.reduce_tasks);
   o.cost = CostFromManifest(m);
   o.mode = m.Get("exec_mode", "simulated") == "real" ? ExecutionMode::kReal
                                                      : ExecutionMode::kSimulated;

@@ -15,17 +15,6 @@ Result<std::unique_ptr<MultiTenantEngine>> MultiTenantEngine::Create(
     TupleSource* source) {
   if (source == nullptr) return Status::Invalid("source is null");
   if (specs.empty()) return Status::Invalid("no tenant specs");
-  if (options.batch_interval <= 0) {
-    return Status::Invalid("batch_interval must be positive");
-  }
-  // Registering every tenant validates ids, weights and the slot pool
-  // before anything touches the store or journal directories.
-  auto scheduler = std::make_unique<TenantScheduler>(
-      TenantSchedulerOptions{options.total_slots});
-  for (const TenantQuerySpec& spec : specs) {
-    PROMPT_RETURN_NOT_OK(scheduler->AddTenant(spec.id, spec.weight).status());
-  }
-
   // The shared substrate as engine options: the slot pool is the core pool
   // the scheduler divides each heartbeat. Elasticity and batch resizing
   // stay off — the slots are the scheduler's to divide, and the interval is
@@ -45,6 +34,15 @@ Result<std::unique_ptr<MultiTenantEngine>> MultiTenantEngine::Create(
   shared.adapt = options.adapt_base;
   shared.store = options.store;
   shared.journal = options.journal;
+  // Range checks first (the scheduler aborts on an empty slot pool), then
+  // registering every tenant validates ids, weights and the slot count
+  // before anything touches the store or journal directories.
+  PROMPT_RETURN_NOT_OK(ValidateEngineOptions(shared));
+  auto scheduler = std::make_unique<TenantScheduler>(
+      TenantSchedulerOptions{options.total_slots});
+  for (const TenantQuerySpec& spec : specs) {
+    PROMPT_RETURN_NOT_OK(scheduler->AddTenant(spec.id, spec.weight).status());
+  }
 
   std::vector<MicroBatchEngine::QuerySpec> queries;
   queries.reserve(specs.size());

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "common/random.h"
+
 namespace prompt {
 namespace {
 
@@ -58,6 +65,108 @@ TEST(FaultScheduleParseTest, RejectsMalformedSpecs) {
   EXPECT_TRUE(ParseFaultSchedule("delay:3@2").status().IsInvalid());
   EXPECT_TRUE(ParseFaultSchedule("random:p=1.5").status().IsInvalid());
   EXPECT_TRUE(ParseFaultSchedule("random:frequency=1").status().IsInvalid());
+}
+
+// Each value fits the text but not its field: a sign wrapped by the parse,
+// a count truncated by the cast, or a NaN that passes a range test written
+// with two comparisons.
+TEST(FaultScheduleParseTest, RejectsValuesThatDoNotFitTheirField) {
+  for (const char* spec :
+       {"kill:4294967298@1", "kill:-1@1", "fail:1@1:4294967296",
+        "random:p=0.5,max_kills=4294967296", "delay:1@1:-5000000",
+        "random:p=nan", "random:p=0.5,revive_after=4294967296",
+        "delay:1@1:9223372036854775808", "kill:+1@1", "kill: 1@1",
+        "crash:18446744073709551616"}) {
+    EXPECT_TRUE(ParseFaultSchedule(spec).status().IsInvalid()) << spec;
+  }
+  // The largest value of each field still parses, unchanged.
+  auto edge = ParseFaultSchedule(
+      "kill:4294967295@18446744073709551615;delay:1@1:9223372036854775807;"
+      "fail:2@3:4294967295;random:p=1,max_kills=4294967295");
+  ASSERT_TRUE(edge.ok()) << edge.status().ToString();
+  EXPECT_EQ(edge->schedule[0].target, UINT32_MAX);
+  EXPECT_EQ(edge->schedule[0].batch_id, UINT64_MAX);
+  EXPECT_EQ(edge->schedule[1].delay, INT64_MAX);
+  EXPECT_EQ(edge->schedule[2].times, UINT32_MAX);
+  EXPECT_EQ(edge->random.max_kills, UINT32_MAX);
+}
+
+bool SameSchedule(const FaultOptions& a, const FaultOptions& b) {
+  auto event = [](const FaultEvent& e) {
+    return std::tie(e.kind, e.target, e.batch_id, e.point, e.delay, e.times);
+  };
+  auto random = [](const RandomFaultOptions& r) {
+    return std::tie(r.enabled, r.kill_prob, r.seed, r.max_kills,
+                    r.revive_after);
+  };
+  if (a.schedule.size() != b.schedule.size()) return false;
+  for (size_t i = 0; i < a.schedule.size(); ++i) {
+    if (event(a.schedule[i]) != event(b.schedule[i])) return false;
+  }
+  return random(a.random) == random(b.random);
+}
+
+/// One grammar-aware edit of `spec`: drop a character, overwrite one with a
+/// grammar character, swap a digit, or splice in a token (boundary numbers,
+/// signs, NaN, stage and key names).
+std::string MutateSpec(const std::string& spec, Rng* rng) {
+  static const std::string kChars = "0123456789:@.;,=-+ ";
+  static const std::vector<std::string> kTokens = {
+      "4294967295", "4294967296", "18446744073709551615",
+      "18446744073709551616", "9223372036854775808", "-1", "nan", "inf",
+      "1e-3", "0x1p-2", "0", "7", ".map", ".reduce", ".start", ";kill:1@2",
+      ";revive:0@3", ";delay:1@1:5", ";fail:2@2", ";crash:4", ";restart:4",
+      ";random:p=0.5", ",seed=9", ",max_kills=3", ",revive_after=2", ";",
+      "@", ":"};
+  std::string out = spec;
+  const size_t at = rng->NextBounded(out.size() + 1);
+  switch (rng->NextBounded(4)) {
+    case 0:
+      if (at < out.size()) out.erase(at, 1);
+      break;
+    case 1:
+      if (at < out.size()) out[at] = kChars[rng->NextBounded(kChars.size())];
+      break;
+    case 2:
+      if (at < out.size() && std::isdigit(static_cast<unsigned char>(out[at]))) {
+        out[at] = static_cast<char>('0' + rng->NextBounded(10));
+      }
+      break;
+    default:
+      out.insert(at, kTokens[rng->NextBounded(kTokens.size())]);
+      break;
+  }
+  return out;
+}
+
+// Every input gets a Status, and every accepted spec survives the manifest's
+// round trip: Parse(Format(Parse(s))) == Parse(s).
+TEST(FaultScheduleParseTest, MutatedSpecsRoundTripOrAreInvalid) {
+  const std::vector<std::string> seeds = {
+      "kill:2@5.map;revive:2@9", "delay:3@2:15000;fail:1@4:2;fail:6@4",
+      "random:p=0.25,seed=7,max_kills=2,revive_after=3",
+      "crash:6.map;restart:6", "fail:1@2.reduce:3;kill:0@0;delay:4@1.map:9"};
+  Rng rng(2027);
+  int accepted = 0;
+  for (int round = 0; round < 500; ++round) {
+    std::string spec = seeds[rng.NextBounded(seeds.size())];
+    const uint64_t edits = 1 + rng.NextBounded(2);
+    for (uint64_t i = 0; i < edits; ++i) spec = MutateSpec(spec, &rng);
+    auto parsed = ParseFaultSchedule(spec);
+    if (!parsed.ok()) {
+      EXPECT_TRUE(parsed.status().IsInvalid())
+          << spec << ": " << parsed.status().ToString();
+      continue;
+    }
+    ++accepted;
+    const std::string formatted = FormatFaultSchedule(*parsed);
+    auto reparsed = ParseFaultSchedule(formatted);
+    ASSERT_TRUE(reparsed.ok())
+        << spec << " -> " << formatted << ": " << reparsed.status().ToString();
+    EXPECT_TRUE(SameSchedule(*reparsed, *parsed)) << spec << " -> " << formatted;
+  }
+  // The round trip is checked on a real share of the corpus.
+  EXPECT_GT(accepted, 50);
 }
 
 TEST(FaultInjectorTest, ScheduledEventsFireExactlyAtTheirPoint) {

@@ -4,18 +4,19 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <random>
 #include <span>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "baselines/factory.h"
-#include "baselines/online_partitioners.h"
 #include "common/hash.h"
-#include "core/prompt_partitioner.h"
 #include "engine/engine.h"
-#include "engine/receiver.h"
 #include "ingest/merge.h"
 #include "reference/legacy_chain_accumulator.h"
 #include "workload/sources.h"
@@ -49,14 +50,6 @@ std::vector<Tuple> MakeStream(uint64_t n, uint64_t cardinality, uint64_t seed,
 std::map<KeyId, uint64_t> KeyCounts(const AccumulatedBatch& batch) {
   std::map<KeyId, uint64_t> counts;
   for (const SortedKeyRun& run : batch.keys()) counts[run.key] += run.count;
-  return counts;
-}
-
-std::map<KeyId, uint64_t> KeyCounts(const PartitionedBatch& batch) {
-  std::map<KeyId, uint64_t> counts;
-  for (const DataBlock& b : batch.blocks) {
-    for (const KeyFragment& f : b.fragments()) counts[f.key] += f.count;
-  }
   return counts;
 }
 
@@ -498,7 +491,7 @@ TEST(ParallelIngestPipelineSketchTest, RunListBoundedBySketchCapacity) {
   }
 }
 
-// --- Receiver integration ---
+// --- The engine's batching loop (MicroBatchEngine::Run) ---
 
 std::unique_ptr<TupleSource> MakeSource(double rate = 10000,
                                         uint64_t seed = 1) {
@@ -510,125 +503,130 @@ std::unique_ptr<TupleSource> MakeSource(double rate = 10000,
   return std::make_unique<SynDSource>(std::move(params));
 }
 
-// Sharded receiver + Prompt (SealAccumulated fast path) produces batches with
-// the same tuple membership and per-key counts as the single-threaded
-// receiver over an identical source.
+constexpr TimeMicros kLoopInterval = Millis(200);
+
+EngineOptions LoopOptions(uint32_t shards) {
+  EngineOptions opts;
+  opts.batch_interval = kLoopInterval;
+  opts.map_tasks = 4;
+  opts.reduce_tasks = 4;
+  opts.cores = 4;
+  opts.ingest.shards = shards;
+  // Eight chunk messages per ring: small enough that the router can fill a
+  // ring and wait on it (back-pressure), which the no-loss checks then cover.
+  opts.ingest.ring_capacity = 512;
+  return opts;
+}
+
+// One engine driven a heartbeat at a time over MakeSource(10000, seed), so
+// the window answer can be read after every batch.
+struct LoopRun {
+  std::vector<BatchReport> batches;
+  std::vector<std::unordered_map<KeyId, double>> windows;
+};
+
+LoopRun RunLoop(const EngineOptions& opts, PartitionerType technique,
+                uint64_t seed, int batches) {
+  auto source = MakeSource(10000, seed);
+  MicroBatchEngine engine(opts, JobSpec::WordCount(4),
+                          CreatePartitioner(technique), source.get());
+  EXPECT_TRUE(engine.init_status().ok()) << engine.init_status().ToString();
+  LoopRun run;
+  for (int i = 0; i < batches; ++i) {
+    for (BatchReport& b : engine.Run(1).batches) {
+      run.batches.push_back(std::move(b));
+    }
+    run.windows.push_back(engine.window().Result());
+  }
+  return run;
+}
+
+// Batch i holds exactly the source's tuples with ts in [i, i+1) intervals:
+// none lost at a heartbeat (the one-tuple lookahead), none counted twice.
+TEST(EngineBatchingLoopTest, NoTupleLostOrDuplicatedAcrossBatches) {
+  constexpr int kBatches = 10;
+  std::vector<uint64_t> expected(kBatches, 0);
+  auto reference = MakeSource(10000, 9);
+  Tuple t;
+  while (reference->Next(&t) && t.ts < kBatches * kLoopInterval) {
+    ++expected[static_cast<size_t>(t.ts / kLoopInterval)];
+  }
+  for (uint32_t shards : {1u, 3u}) {
+    const LoopRun run =
+        RunLoop(LoopOptions(shards), PartitionerType::kPrompt, 9, kBatches);
+    ASSERT_EQ(run.batches.size(), static_cast<size_t>(kBatches));
+    for (int i = 0; i < kBatches; ++i) {
+      EXPECT_EQ(run.batches[i].num_tuples, expected[i])
+          << "shards=" << shards << " batch " << i;
+    }
+  }
+}
+
+// The sharded route/merge path answers exactly like the inline 1-shard loop:
+// per-batch tuple and key counts and the window after every batch.
+void ExpectShardedMatchesSingle(PartitionerType technique) {
+  constexpr int kBatches = 4;
+  const LoopRun single = RunLoop(LoopOptions(1), technique, 21, kBatches);
+  for (uint32_t shards : {2u, 3u}) {
+    const LoopRun sharded =
+        RunLoop(LoopOptions(shards), technique, 21, kBatches);
+    ASSERT_EQ(sharded.batches.size(), single.batches.size());
+    for (size_t i = 0; i < single.batches.size(); ++i) {
+      const std::string ctx = std::string(PartitionerTypeName(technique)) +
+                              " shards=" + std::to_string(shards) +
+                              " batch " + std::to_string(i);
+      EXPECT_GT(single.batches[i].num_tuples, 0u) << ctx;
+      EXPECT_EQ(sharded.batches[i].num_tuples, single.batches[i].num_tuples)
+          << ctx;
+      EXPECT_EQ(sharded.batches[i].num_keys, single.batches[i].num_keys)
+          << ctx;
+      EXPECT_EQ(sharded.windows[i], single.windows[i]) << ctx;
+    }
+  }
+}
+
+// Prompt seals through the SealAccumulated fast path.
 TEST(ReceiverShardedIngestTest, MatchesSingleThreadedReceiver) {
-  auto source_a = MakeSource(10000, 9);
-  auto source_b = MakeSource(10000, 9);
-  PromptPartitioner part_a, part_b;
-  ReceiverOptions opts_a;
-  opts_a.batch_interval = Millis(200);
-  ReceiverOptions opts_b = opts_a;
-  opts_b.ingest.shards = 3;
-  opts_b.ingest.ring_capacity = 512;
-
-  StreamReceiver single(source_a.get(), &part_a, opts_a);
-  StreamReceiver sharded(source_b.get(), &part_b, opts_b);
-  ASSERT_TRUE(single.Start().ok());
-  ASSERT_TRUE(sharded.Start().ok());
-  for (int i = 0; i < 4; ++i) {
-    auto a = single.NextBatch(4);
-    auto b = sharded.NextBatch(4);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    EXPECT_EQ(b->batch.num_tuples, a->batch.num_tuples) << "batch " << i;
-    EXPECT_EQ(b->batch.num_keys, a->batch.num_keys) << "batch " << i;
-    EXPECT_EQ(KeyCounts(b->batch), KeyCounts(a->batch)) << "batch " << i;
-    EXPECT_EQ(b->batch.batch_id, a->batch.batch_id);
-  }
-  const IngestMetrics* m = sharded.ingest_metrics();
-  ASSERT_NE(m, nullptr);
-  EXPECT_EQ(m->shards.size(), 3u);
-  single.Stop();
-  sharded.Stop();
+  ExpectShardedMatchesSingle(PartitionerType::kPrompt);
 }
 
-// A partitioner without the SealAccumulated fast path gets the merged batch
-// replayed through OnTuple: totals must still match the single-threaded run.
+// Hash is online: the merged batch is replayed through OnTuple.
 TEST(ReceiverShardedIngestTest, FallbackReplayForOnlinePartitioner) {
-  auto source_a = MakeSource(8000, 21);
-  auto source_b = MakeSource(8000, 21);
-  HashPartitioner part_a, part_b;
-  ReceiverOptions opts_a;
-  opts_a.batch_interval = Millis(200);
-  ReceiverOptions opts_b = opts_a;
-  opts_b.ingest.shards = 2;
-
-  StreamReceiver single(source_a.get(), &part_a, opts_a);
-  StreamReceiver sharded(source_b.get(), &part_b, opts_b);
-  ASSERT_TRUE(single.Start().ok());
-  ASSERT_TRUE(sharded.Start().ok());
-  for (int i = 0; i < 3; ++i) {
-    auto a = single.NextBatch(4);
-    auto b = sharded.NextBatch(4);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(b->batch.num_tuples, a->batch.num_tuples) << "batch " << i;
-    EXPECT_EQ(KeyCounts(b->batch), KeyCounts(a->batch)) << "batch " << i;
-  }
-  single.Stop();
-  sharded.Stop();
+  ExpectShardedMatchesSingle(PartitionerType::kHash);
 }
 
-// Sketch-mode receiver conserves every tuple — through the Prompt fast path
-// (tail buckets placed whole by Alg. 2) and through the fallback replay
-// (tail buckets drained tuple-by-tuple into an online partitioner).
-TEST(ReceiverSketchModeTest, ConservesTuplesOnBothSealPaths) {
-  for (const bool prompt_path : {true, false}) {
-    auto source_exact = MakeSource(10000, 31);
-    auto source_sketch = MakeSource(10000, 31);
-    PromptPartitioner prompt_a, prompt_b;
-    HashPartitioner hash_a, hash_b;
-    BatchPartitioner* part_a =
-        prompt_path ? static_cast<BatchPartitioner*>(&prompt_a) : &hash_a;
-    BatchPartitioner* part_b =
-        prompt_path ? static_cast<BatchPartitioner*>(&prompt_b) : &hash_b;
-
-    ReceiverOptions opts_exact;
-    opts_exact.batch_interval = Millis(200);
-    ReceiverOptions opts_sketch = opts_exact;
-    opts_sketch.ingest.shards = 2;
-    opts_sketch.ingest.key_mode = KeyMode::kSketch;
-    opts_sketch.ingest.accumulator_options.sketch.capacity = 64;
-    // Seed N_est / K_avg with the source's real shape (10k/s * 200ms, 300
-    // keys) so the auto promote threshold is sane from batch 0; later
-    // batches re-estimate via the receiver EWMA (which in sketch mode must
-    // feed the HLL estimate, not the head-run count — the regression this
-    // test pins down).
-    opts_sketch.ingest.accumulator_options.estimated_tuples = 2000;
-    opts_sketch.ingest.accumulator_options.avg_keys = 300;
-
-    StreamReceiver exact(source_exact.get(), part_a, opts_exact);
-    StreamReceiver sketch(source_sketch.get(), part_b, opts_sketch);
-    ASSERT_TRUE(exact.Start().ok());
-    ASSERT_TRUE(sketch.Start().ok());
-    for (int i = 0; i < 3; ++i) {
-      auto a = exact.NextBatch(4);
-      auto b = sketch.NextBatch(4);
-      ASSERT_TRUE(a.ok()) << a.status().ToString();
-      ASSERT_TRUE(b.ok()) << b.status().ToString();
-      EXPECT_EQ(b->batch.num_tuples, a->batch.num_tuples)
-          << "prompt_path=" << prompt_path << " batch " << i;
-      // Per-key conservation holds in sketch mode too: tail tuples reach
-      // blocks, they just carry no fragment summaries, so compare block
-      // tuple contents instead of fragments.
-      std::map<KeyId, uint64_t> counts_a, counts_b;
-      for (const DataBlock& blk : a->batch.blocks) {
-        for (const Tuple& t : blk.tuples()) ++counts_a[t.key];
-      }
-      for (const DataBlock& blk : b->batch.blocks) {
-        for (const Tuple& t : blk.tuples()) ++counts_b[t.key];
-      }
-      EXPECT_EQ(counts_b, counts_a)
-          << "prompt_path=" << prompt_path << " batch " << i;
-      if (prompt_path) {
-        EXPECT_TRUE(b->batch.sketch.sketch_mode);
-        EXPECT_GT(b->batch.sketch.head_coverage(), 0.0);
+// Sketch mode conserves every tuple on both seal paths: Prompt places tail
+// buckets whole (Alg. 2), Hash gets tail tuples replayed one by one. From
+// batch 1 on the promote threshold comes from the pipeline's fed-back
+// estimates, which in sketch mode must use the HLL estimate rather than the
+// head-run count, or no key is promoted and head coverage drops to 0.
+TEST(EngineBatchingLoopTest, SketchModeConservesTuplesOnBothSealPaths) {
+  constexpr int kBatches = 4;
+  for (PartitionerType technique :
+       {PartitionerType::kPrompt, PartitionerType::kHash}) {
+    const LoopRun exact = RunLoop(LoopOptions(1), technique, 31, kBatches);
+    for (uint32_t shards : {1u, 2u}) {
+      EngineOptions opts = LoopOptions(shards);
+      opts.ingest.key_mode = KeyMode::kSketch;
+      opts.ingest.accumulator_options.sketch.capacity = 64;
+      // The source's real shape (10k/s * 200 ms over 300 keys) for batch 0.
+      opts.ingest.accumulator_options.estimated_tuples = 2000;
+      opts.ingest.accumulator_options.avg_keys = 300;
+      const LoopRun sketch = RunLoop(opts, technique, 31, kBatches);
+      ASSERT_EQ(sketch.batches.size(), exact.batches.size());
+      for (size_t i = 0; i < exact.batches.size(); ++i) {
+        const std::string ctx = std::string(PartitionerTypeName(technique)) +
+                                " shards=" + std::to_string(shards) +
+                                " batch " + std::to_string(i);
+        EXPECT_EQ(sketch.batches[i].num_tuples, exact.batches[i].num_tuples)
+            << ctx;
+        EXPECT_EQ(sketch.windows[i], exact.windows[i]) << ctx;
+        if (technique == PartitionerType::kPrompt) {
+          EXPECT_TRUE(sketch.batches[i].sketch.sketch_mode) << ctx;
+          EXPECT_GT(sketch.batches[i].sketch.head_coverage(), 0.0) << ctx;
+        }
       }
     }
-    exact.Stop();
-    sketch.Stop();
   }
 }
 
@@ -700,16 +698,67 @@ TEST(IngestOptionsValidationTest, EngineReportsInvalidInsteadOfAborting) {
   }
 }
 
-TEST(IngestOptionsValidationTest, ReceiverStartReportsInvalid) {
-  auto source = MakeSource();
-  PromptPartitioner partitioner;
-  ReceiverOptions opts;
-  opts.ingest.shards = 1000000;
-  const size_t threads_before = ThreadCount();
-  StreamReceiver receiver(source.get(), &partitioner, opts);
-  EXPECT_TRUE(receiver.Start().IsInvalid());
-  EXPECT_EQ(ThreadCount(), threads_before);
-  EXPECT_FALSE(receiver.NextBatch(4).ok());
+// Out-of-range task counts, cores, heartbeat and early-release fractions
+// are refused at construction in simulated mode: init_status() names the
+// field, no shard thread starts (shards = 4 is otherwise valid), and Run
+// refuses to run. Only rejected values are constructed here; accepted
+// bounds are checked on the validator alone, so no engine is ever built
+// with a large core count.
+TEST(EngineOptionsValidationTest, RejectedValuesStartNoThread) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<std::string, std::function<void(EngineOptions*)>>>
+      cases = {
+          {"map_tasks=0", [](EngineOptions* o) { o->map_tasks = 0; }},
+          {"map_tasks=max+1",
+           [](EngineOptions* o) { o->map_tasks = kMaxEngineTasks + 1; }},
+          {"map_tasks=UINT32_MAX",
+           [](EngineOptions* o) { o->map_tasks = UINT32_MAX; }},
+          {"reduce_tasks=0", [](EngineOptions* o) { o->reduce_tasks = 0; }},
+          {"reduce_tasks=UINT32_MAX",
+           [](EngineOptions* o) { o->reduce_tasks = UINT32_MAX; }},
+          {"cores=0", [](EngineOptions* o) { o->cores = 0; }},
+          {"cores=UINT32_MAX", [](EngineOptions* o) { o->cores = UINT32_MAX; }},
+          {"batch_interval=0", [](EngineOptions* o) { o->batch_interval = 0; }},
+          {"early_release_frac=nan",
+           [nan](EngineOptions* o) { o->early_release_frac = nan; }},
+          {"early_release_frac=inf",
+           [inf](EngineOptions* o) { o->early_release_frac = inf; }},
+          {"early_release_frac=1",
+           [](EngineOptions* o) { o->early_release_frac = 1; }},
+          {"early_release_frac=2",
+           [](EngineOptions* o) { o->early_release_frac = 2; }},
+          {"early_release_frac=-0.1",
+           [](EngineOptions* o) { o->early_release_frac = -0.1; }},
+      };
+  for (const auto& [name, edit] : cases) {
+    EngineOptions opts;
+    opts.batch_interval = Millis(100);
+    opts.mode = ExecutionMode::kSimulated;
+    opts.ingest.shards = 4;
+    edit(&opts);
+    const std::string field = name.substr(0, name.find('='));
+    auto source = MakeSource();
+    const size_t threads_before = ThreadCount();
+    MicroBatchEngine engine(opts, JobSpec::WordCount(4),
+                            CreatePartitioner(PartitionerType::kPrompt),
+                            source.get());
+    EXPECT_EQ(ThreadCount(), threads_before) << name;
+    EXPECT_TRUE(engine.init_status().IsInvalid())
+        << name << ": " << engine.init_status().ToString();
+    EXPECT_NE(engine.init_status().message().find(field), std::string::npos)
+        << name << ": " << engine.init_status().ToString();
+    EXPECT_TRUE(engine.Run(2).batches.empty()) << name;
+  }
+  EngineOptions edge;
+  for (uint32_t n : {1u, kMaxEngineTasks}) {
+    edge.map_tasks = edge.reduce_tasks = edge.cores = n;
+    EXPECT_TRUE(ValidateEngineOptions(edge).ok()) << n;
+  }
+  for (double frac : {0.0, 0.99}) {
+    edge.early_release_frac = frac;
+    EXPECT_TRUE(ValidateEngineOptions(edge).ok()) << frac;
+  }
 }
 
 }  // namespace

@@ -370,13 +370,19 @@ int main(int argc, char** argv) {
   auto ingest_shards = flags.GetInt("ingest_shards", 1);
   if (!ingest_shards.ok()) return Fail(ingest_shards.status());
   {
-    // Range-checked here, before either engine mode allocates a ring or
-    // starts a shard thread. Out-of-range int64s saturate into the rejected
-    // range rather than wrapping into it.
-    IngestOptions ingest;
-    ingest.shards = static_cast<uint32_t>(
-        std::clamp<int64_t>(*ingest_shards, 0, UINT32_MAX));
-    if (Status st = ValidateIngestOptions(ingest); !st.ok()) {
+    // Range-checked here, before either engine mode allocates a pool or a
+    // ring or starts a thread. Out-of-range int64s saturate into the
+    // rejected range rather than wrapping into it.
+    auto saturate = [](int64_t v) {
+      return static_cast<uint32_t>(std::clamp<int64_t>(v, 0, UINT32_MAX));
+    };
+    EngineOptions probe;
+    probe.map_tasks = probe.reduce_tasks = probe.cores = saturate(*tasks);
+    if (Status st = ValidateEngineOptions(probe); !st.ok()) {
+      return Fail(Status::Invalid("--tasks: " + st.message()));
+    }
+    probe.ingest.shards = saturate(*ingest_shards);
+    if (Status st = ValidateIngestOptions(probe.ingest); !st.ok()) {
       return Fail(Status::Invalid("--ingest_shards: " + st.message()));
     }
   }
